@@ -598,14 +598,14 @@ func BenchmarkSpanWorkloadTraces(b *testing.B) {
 		b.Run("block/"+prog, func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePacked(words, n, 0)
+				tab.RunFrom(tab.StartState(), words, n, 0, nil)
 			}
 		})
 		b.Run("span/"+prog, func(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ReportMetric(covered, "run-coverage")
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePackedSpans(words, n, 0, runs)
+				tab.RunFrom(tab.StartState(), words, n, 0, runs)
 			}
 		})
 	}

@@ -112,7 +112,7 @@ func RunAll(preds []Predictor, tr *tracestore.Packed) []Result {
 // the runners, so the instance's visible state afterwards is
 // bit-identical to the scalar stepper's. Returns ok=false — caller
 // falls back to the scalar kernel — when any machine has no block
-// table (kernel disabled or over the state bound).
+// table (over the state bound).
 func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 	tabs := make([]*fsm.BlockTable, len(c.entries))
 	for i, e := range c.entries {
@@ -148,7 +148,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 			// own occurrences.
 			if w := winner[i]; w >= 0 {
 				sub := tr.SubOf(w)
-				r, end := tabs[i].RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0)
+				r, end := tabs[i].RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0, nil)
 				misses += r.Total - r.Correct
 				c.runners[i].SetState(end)
 			}
@@ -161,7 +161,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 		if w := winner[i]; w >= 0 {
 			pos = tr.SubOf(w).Pos
 		}
-		m, end := tabs[i].RunSampledSpans(state, words, n, pos, tr.SpanIndex())
+		m, end := tabs[i].RunSampled(state, words, n, pos, tr.SpanIndex())
 		misses += m
 		c.runners[i].SetState(end)
 	}
@@ -212,8 +212,8 @@ func runAllInto(steppers []traceStepper, tr *tracestore.Packed, res []Result) {
 //
 // The replay itself runs on the blocked superstep kernel when every
 // entry machine has a block table (see RunCustomPrefixesParallel);
-// otherwise it falls back to the scalar single-pass sweep, which stays
-// as the differential oracle.
+// otherwise — a machine over the block-table bound — it falls back to
+// the scalar single-pass sweep.
 func RunCustomPrefixes(entries []*CustomEntry, tr *tracestore.Packed) []Result {
 	return RunCustomPrefixesParallel(entries, tr, 1)
 }
@@ -284,7 +284,7 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 		if !ok {
 			return 0, nil
 		}
-		m, _ := tabs[i].RunSampledSpans(tabs[i].StartState(), words, events, tr.SubOf(id).Pos, tr.SpanIndex())
+		m, _ := tabs[i].RunSampled(tabs[i].StartState(), words, events, tr.SubOf(id).Pos, tr.SpanIndex())
 		return m, nil
 	})
 
@@ -322,8 +322,8 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 	return res
 }
 
-// runCustomPrefixesScalar is the bit-at-a-time prefix sweep — the
-// differential oracle for the blocked path above.
+// runCustomPrefixesScalar is the bit-at-a-time prefix sweep, the
+// fallback for machines over the block-table bound.
 func runCustomPrefixesScalar(entries []*CustomEntry, tr *tracestore.Packed) []Result {
 	n := len(entries)
 	res := make([]Result, n)

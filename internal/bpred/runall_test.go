@@ -254,18 +254,45 @@ func TestRunCustomPrefixesMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRunKernelOff repeats the RunAll differential with the
-// block kernel disabled, covering the scalar stepper fallback.
+// TestRunAllMatchesRunKernelOff covers the scalar stepper fallback:
+// custom entries whose machines exceed the block-table state bound get
+// no block table, so RunAll and RunCustomPrefixes step them bit by bit.
+// Both must still match Run, and the padding (unreachable states) must
+// not change a single prediction.
 func TestRunAllMatchesRunKernelOff(t *testing.T) {
-	defer fsm.SetBlockKernel(fsm.SetBlockKernel(false))
 	train := benchEvents(t, "gsm", workload.Train, 10_000)
 	test := benchEvents(t, "gsm", workload.Test, 10_000)
 	packed := tracestore.Pack(test)
-	for name, mk := range predictorMatrix(t, train) {
-		got := RunAll([]Predictor{mk()}, packed)
-		want := Run(mk(), test)
-		if got[0] != want {
-			t.Errorf("%s: RunAll = %+v, Run = %+v", name, got[0], want)
+	entries, err := TrainCustom(train, TrainOptions{MaxEntries: 4, Order: 5, MinExecutions: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := make([]*CustomEntry, len(entries))
+	for i, e := range entries {
+		m := e.Machine.Clone()
+		for s := m.NumStates(); s <= 256; s++ {
+			m.Output = append(m.Output, false)
+			m.Next = append(m.Next, [2]int{s, s})
+		}
+		if fsm.BlockTableFor(m) != nil {
+			t.Fatalf("entry %d: %d-state machine got a block table", i, m.NumStates())
+		}
+		oversized[i] = &CustomEntry{Tag: e.Tag, Machine: m}
+	}
+	for _, matchedOnly := range []bool{false, true} {
+		c := NewCustom(oversized)
+		c.UpdateMatchedOnly = matchedOnly
+		ref := NewCustom(entries)
+		ref.UpdateMatchedOnly = matchedOnly
+		got := RunAll([]Predictor{c}, packed)
+		if want := Run(ref, test); got[0] != want {
+			t.Errorf("matchedOnly=%v: RunAll = %+v, Run = %+v", matchedOnly, got[0], want)
+		}
+	}
+	prefixes := RunCustomPrefixes(oversized, packed)
+	for k := 1; k <= len(entries); k++ {
+		if want := Run(NewCustom(entries[:k]), test); prefixes[k-1] != want {
+			t.Errorf("prefix %d: scalar sweep %+v, Run %+v", k, prefixes[k-1], want)
 		}
 	}
 }

@@ -11,16 +11,20 @@ import (
 	"fsmpredict/internal/workload"
 )
 
-// BenchmarkReplayGatedSpans measures the span kernel on the gated
-// replay path over real load-trace correctness streams — the traffic
-// EvaluateStreamsMachine drives for every Figure 2 point. Correctness
-// streams are where run structure appears organically: a stride
-// predictor locked onto a pattern is correct for long stretches, so
-// the streams carry 25–38% coverage by ≥4-byte homogeneous runs even
+// BenchmarkReplayGatedSpans measures the gated replay with and without
+// the run index over real load-trace correctness streams — the walk
+// EvaluateStreamsMachine drives per segment for every Figure 2 point.
+// Correctness streams are where run structure appears organically: a
+// stride predictor locked onto a pattern is correct for long stretches,
+// so the streams carry 25–38% coverage by ≥4-byte homogeneous runs even
 // when the underlying value stream has none. The "coverage" metric
 // reports the fraction of events inside indexed runs.
 func BenchmarkReplayGatedSpans(b *testing.B) {
 	m := counters.SUDConfig{Max: 3, Inc: 1, Dec: 1, Threshold: 2}.Machine()
+	tab, err := fsm.CompileBlockTable(m)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, name := range []string{"gcc", "go"} {
 		lp, err := workload.LoadByName(name)
 		if err != nil {
@@ -38,12 +42,18 @@ func BenchmarkReplayGatedSpans(b *testing.B) {
 				label = "on"
 			}
 			b.Run(fmt.Sprintf("%s/span=%s", name, label), func(b *testing.B) {
-				prev := fsm.SetSpanKernel(span)
-				defer fsm.SetSpanKernel(prev)
 				b.SetBytes(int64(total) / 8)
 				b.ReportMetric(float64(covered)/float64(total), "coverage")
 				for i := 0; i < b.N; i++ {
-					EvaluateStreamsMachine(cs, m)
+					for _, seg := range cs.Segments {
+						var runs []bitseq.Run
+						if span {
+							runs = seg.Spans
+						}
+						if _, _, err := tab.ReplayGated(seg.Correct.Words(), seg.Valid.Words(), seg.Valid.Len(), runs); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			})
 		}

@@ -92,8 +92,9 @@ func TestSUDSweepStreamsMatches(t *testing.T) {
 
 // TestEvaluateStreamsMachineMatches is the block-kernel differential
 // test: the gated byte-blocked replay must be tally-for-tally
-// identical to the generic per-bit estimator replay, for both counter
-// machines and the scalar fallback with the kernel disabled.
+// identical to the generic per-bit estimator replay (the layer's
+// scalar reference), both for counter machines and for the fallback a
+// machine over the block-table bound takes.
 func TestEvaluateStreamsMachineMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	for _, cfg := range counters.PaperSweep()[:12] {
@@ -109,20 +110,34 @@ func TestEvaluateStreamsMachineMatches(t *testing.T) {
 			t.Fatalf("config %v: SUD %+v, machine runner %+v", cfg, asCounter, want)
 		}
 	}
-	prev := fsm.SetBlockKernel(false)
-	defer fsm.SetBlockKernel(prev)
 	cfg := counters.PaperSweep()[0]
-	m := cfg.Machine()
-	want := EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
-	if got := EvaluateStreamsMachine(cs, m); got != want {
-		t.Fatalf("kernel off: %+v, want %+v", got, want)
+	want := EvaluateStreams(cs, func() counters.Predictor { return counters.NewSUD(cfg) })
+	big := oversized(cfg.Machine())
+	if fsm.BlockTableFor(big) != nil {
+		t.Fatalf("%d-state machine got a block table", big.NumStates())
+	}
+	if got := EvaluateStreamsMachine(cs, big); got != want {
+		t.Fatalf("oversized fallback: %+v, want %+v", got, want)
 	}
 }
 
+// oversized pads a machine with unreachable self-looping states past
+// the block-table bound: same predictions, but no block table.
+func oversized(m *fsm.Machine) *fsm.Machine {
+	m = m.Clone()
+	for s := m.NumStates(); s <= 256; s++ {
+		m.Output = append(m.Output, false)
+		m.Next = append(m.Next, [2]int{s, s})
+	}
+	return m
+}
+
 // TestEvaluateStreamsFleetMatches pins the batched fleet replay to the
-// per-machine path: every machine of a mixed set (counter machines,
-// including structural duplicates) must score exactly as it does alone,
-// with the kernel on and off.
+// generic per-bit replay: every machine of a mixed set (counter
+// machines, including a structural duplicate) must score exactly as
+// EvaluateStreams scores it alone, and a set holding a machine over the
+// block-table bound must take the per-machine fallback with the same
+// results.
 func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	var machines []*fsm.Machine
@@ -131,25 +146,25 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	}
 	// A structural duplicate: dedup must not change its result.
 	machines = append(machines, counters.PaperSweep()[0].Machine())
-	check := func(label string) {
+	want := make([]Result, len(machines))
+	for i, m := range machines {
+		want[i] = EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
+	}
+	check := func(label string, machines []*fsm.Machine) {
 		t.Helper()
 		got := EvaluateStreamsFleet(cs, machines)
 		if len(got) != len(machines) {
 			t.Fatalf("%s: %d results for %d machines", label, len(got), len(machines))
 		}
-		for i, m := range machines {
-			if want := EvaluateStreamsMachine(cs, m); got[i] != want {
-				t.Fatalf("%s: machine %d fleet %+v, solo %+v", label, i, got[i], want)
+		for i := range machines {
+			if got[i] != want[i] {
+				t.Fatalf("%s: machine %d fleet %+v, generic %+v", label, i, got[i], want[i])
 			}
 		}
-		if got[0] != got[len(got)-1] {
-			t.Fatalf("%s: duplicate machines disagree: %+v vs %+v", label, got[0], got[len(got)-1])
-		}
 	}
-	check("kernel on")
-	prev := fsm.SetBlockKernel(false)
-	defer fsm.SetBlockKernel(prev)
-	check("kernel off")
+	check("fleet", machines)
+	withBig := append([]*fsm.Machine{oversized(machines[0])}, machines[1:]...)
+	check("oversized fallback", withBig)
 }
 
 // TestEvaluateStreamsMachineAllocs guards the blocked replay's

@@ -160,7 +160,7 @@ func TestMachineBlockTableMatchesCounter(t *testing.T) {
 			ctr.Update(b)
 			stream.Append(b)
 		}
-		got := tab.SimulatePacked(stream.Words(), stream.Len(), 0)
+		got, _ := tab.RunFrom(tab.StartState(), stream.Words(), stream.Len(), 0, nil)
 		if got.Total != n || got.Correct != correct {
 			t.Fatalf("%v: blocked (%d/%d), counter (%d/%d)",
 				cfg, got.Correct, got.Total, correct, n)

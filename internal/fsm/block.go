@@ -2,7 +2,6 @@ package fsm
 
 import (
 	"fmt"
-	"math/bits"
 
 	"fsmpredict/internal/bitseq"
 )
@@ -16,10 +15,10 @@ import (
 // (NumStates × 256 entries) so simulation consumes the stream a byte
 // per lookup instead of a bit per branch, and a byte's mispredictions
 // reduce to one XOR and one popcount against the table's prediction
-// mask. The per-bit Simulate/Runner walks remain as the differential
-// oracles; every kernel here is bit-identical to them by construction
-// (the table is built by composing the machine's own 2-symbol table,
-// never by re-deriving behaviour) and by the package's fuzz tests.
+// mask. The scalar Machine.SimulateScalar/RunSampledScalar walks remain
+// as the references; the table is built by composing the machine's own
+// 2-symbol table, never by re-deriving behaviour, so every walk over it
+// is bit-identical to them.
 
 // blockShift is the log2 of the block width: kernels consume the input
 // 8 events at a time. Eight is the sweet spot — the table for an
@@ -38,29 +37,33 @@ const blockShift = 8
 const maxBlockStates = 256
 
 // BlockTable is the compiled transition closure of one Machine over
-// 8-bit input blocks. It is immutable after compilation and safe for
-// concurrent use; many simulations can share one table.
+// 8-bit input blocks: a one-slot layout (walk.go), so the
+// single-machine walks and the fleet walks are the same code. It is
+// immutable after compilation and safe for concurrent use; many
+// simulations can share one table.
 type BlockTable struct {
-	// tab[s<<8|v] packs the response of state s to the 8-bit block v
-	// (earliest event in bit 0, matching bitseq's packing): the low
-	// byte is the exit state, the high byte is the prediction mask —
-	// bit i holds the output of the state occupied when event i of the
-	// block was predicted. Mispredictions for a full byte are then
-	// popcount(mask XOR outcomes).
-	tab []uint16
-	// step[s<<1|b] is the plain 2-symbol transition, used for the
-	// ragged sub-byte head and tail of a stream.
-	step []uint8
-	// out[s] is state s's prediction as a bit.
-	out   []uint8
-	start uint8
-	// span holds the lazily built homogeneous-byte power tables the
-	// run-length span kernel walks (see span.go); the shell is built
-	// with the table, levels grow on first use.
-	span *SpanTable
+	layout
 	// src is a private clone of the compiled machine, used to verify
 	// cache hits (the shared cache keys on a 64-bit content hash).
 	src *Machine
+}
+
+// newBlockTable wraps one machine's closure table, 2-symbol step rows
+// and outputs as a one-slot layout with its (lazily grown) span power
+// tables — the one constructor behind CompileBlockTable and the disk
+// decoder.
+func newBlockTable(tab []uint16, step, out []uint8, start uint8, src *Machine) *BlockTable {
+	return &BlockTable{
+		layout: layout{
+			tab:   tab,
+			step:  step,
+			out:   out,
+			start: []uint8{start},
+			off:   []uint32{0, uint32(len(out))},
+			spans: []*SpanTable{newSpanTable(step, out)},
+		},
+		src: src,
+	}
 }
 
 // CompileBlockTable builds the closure table for a machine. It errors
@@ -74,20 +77,15 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	if n > maxBlockStates {
 		return nil, fmt.Errorf("fsm: %d states exceed the %d-state block-table bound", n, maxBlockStates)
 	}
-	t := &BlockTable{
-		step:  make([]uint8, 2*n),
-		out:   make([]uint8, n),
-		start: uint8(m.Start),
-		src:   m.Clone(),
-	}
+	step := make([]uint8, 2*n)
+	out := make([]uint8, n)
 	for s := 0; s < n; s++ {
-		t.step[s<<1] = uint8(m.Next[s][0])
-		t.step[s<<1|1] = uint8(m.Next[s][1])
+		step[s<<1] = uint8(m.Next[s][0])
+		step[s<<1|1] = uint8(m.Next[s][1])
 		if m.Output[s] {
-			t.out[s] = 1
+			out[s] = 1
 		}
 	}
-	t.span = newSpanTable(t.step, t.out)
 	// Build T_8 by doubling composition from the 2-symbol table:
 	// T_2k[s][v] runs the low k bits through T_k, then the high k bits
 	// from the intermediate state, OR-ing the prediction masks. Each
@@ -96,10 +94,10 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	next := make([]uint8, 2*n)
 	mask := make([]uint8, 2*n)
 	for s := 0; s < n; s++ {
-		next[s<<1] = t.step[s<<1]
-		next[s<<1|1] = t.step[s<<1|1]
-		mask[s<<1] = t.out[s]
-		mask[s<<1|1] = t.out[s]
+		next[s<<1] = step[s<<1]
+		next[s<<1|1] = step[s<<1|1]
+		mask[s<<1] = out[s]
+		mask[s<<1|1] = out[s]
 	}
 	for k := 1; k < blockShift; k *= 2 {
 		wide := 2 * k
@@ -118,18 +116,18 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 		}
 		next, mask = nn, nm
 	}
-	t.tab = make([]uint16, n<<blockShift)
-	for i := range t.tab {
-		t.tab[i] = uint16(next[i]) | uint16(mask[i])<<8
+	tab := make([]uint16, n<<blockShift)
+	for i := range tab {
+		tab[i] = uint16(next[i]) | uint16(mask[i])<<8
 	}
-	return t, nil
+	return newBlockTable(tab, step, out, uint8(m.Start), m.Clone()), nil
 }
 
 // NumStates returns the compiled machine's state count.
 func (t *BlockTable) NumStates() int { return len(t.out) }
 
 // StartState returns the compiled machine's start state.
-func (t *BlockTable) StartState() int { return int(t.start) }
+func (t *BlockTable) StartState() int { return int(t.start[0]) }
 
 // Machine returns the machine the table was compiled from (a private
 // clone; callers must not mutate it).
@@ -158,310 +156,61 @@ func (t *BlockTable) compiledFrom(m *Machine) bool {
 	return true
 }
 
-// SimulatePacked replays n events of a packed outcome stream (bit i of
-// words is event i, bitseq layout; bits at n and beyond must be zero)
-// from the start state, consuming the first skip events as unscored
-// warm-up. It is bit-identical to Machine.SimulateScalar on the
-// unpacked stream and allocates nothing.
-func (t *BlockTable) SimulatePacked(words []uint64, n, skip int) SimResult {
-	res, _ := t.RunFrom(t.StartState(), words, n, skip)
-	return res
-}
-
-// RunFrom is SimulatePacked from an arbitrary state, additionally
-// returning the exit state; it is the building block for stateful
-// replay (bpred runner banks advance mid-stream). n beyond the words'
-// bit capacity is clamped rather than trusted, so a caller passing an
-// over-long event count reads garbage from no one.
-func (t *BlockTable) RunFrom(state int, words []uint64, n, skip int) (SimResult, int) {
+// RunFrom replays n events of a packed outcome stream (bit i of words is
+// event i, bitseq layout; bits at n and beyond must be zero) from the
+// given state, consuming the first skip events as unscored warm-up, and
+// returns the tally and the exit state — the building block for
+// stateful replay (bpred runner banks advance mid-stream). runs is an
+// optional run index over the same words (bitseq.Runs, any minimum run
+// length; nil means none): homogeneous runs then advance in O(log run)
+// power-table lookups. The result is bit-identical to
+// Machine.SimulateScalar on the unpacked stream for any index. n beyond
+// the words' capacity is clamped rather than trusted. Allocates nothing.
+func (t *BlockTable) RunFrom(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
 	n, skip = clampSpan(words, n, skip)
-	s := uint8(state)
-	i := 0
-	// Warm-up: advance without scoring, whole bytes then the ragged
-	// remainder. i starts byte-aligned, so extraction stays in-word.
-	for ; i+8 <= skip; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		s = uint8(t.tab[int(s)<<blockShift|int(b)])
-	}
-	for ; i < skip; i++ {
-		b := words[i>>6] >> uint(i&63) & 1
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res := SimResult{Total: n - skip}
-	correct := 0
-	// Scalar-step to the next byte boundary, then run aligned bytes
-	// (i a multiple of 8 never crosses a word), then the scalar tail.
-	for ; i < n && i&7 != 0; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if t.out[s] == b {
-			correct++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	for ; i+8 <= n; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		e := t.tab[int(s)<<blockShift|int(b)]
-		correct += 8 - bits.OnesCount8(uint8(e>>8)^b)
-		s = uint8(e)
-	}
-	for ; i < n; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if t.out[s] == b {
-			correct++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res.Correct = correct
-	return res, int(s)
+	states := [1]uint8{uint8(state)}
+	var correct [1]int
+	var tally spanTally
+	t.walkFull(0, 1, words, n, skip, states[:], correct[:], runs, &tally)
+	tally.flush()
+	return SimResult{Total: n - skip, Correct: correct[0]}, int(states[0])
 }
 
-// RunSampled advances through all n events of the packed stream but
-// scores predictions only at the given positions (strictly ascending,
-// each in [0, n)) — the §7.3 update-all replay, where a per-branch
-// predictor trains on the global outcome stream yet predicts only its
-// own branch's occurrences. It returns the misprediction count over
-// the sampled positions and the exit state, and allocates nothing.
-func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32) (misses, end int) {
+// RunSampled advances from the given state through all n events of the
+// packed stream but scores predictions only at the given positions
+// (strictly ascending, each in [0, n)) — the §7.3 update-all replay,
+// where a per-branch predictor trains on the global outcome stream yet
+// predicts only its own branch's occurrences. runs is an optional run
+// index as for RunFrom. It returns the misprediction count and the exit
+// state, bit-identical to Machine.RunSampledScalar, and allocates
+// nothing.
+func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
 	n, _ = clampSpan(words, n, 0)
-	s := uint8(state)
-	c := 0
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		e := t.tab[int(s)<<blockShift|int(b)]
-		if c < len(pos) && int(pos[c]) < i+8 {
-			x := uint8(e>>8) ^ b
-			for ; c < len(pos) && int(pos[c]) < i+8; c++ {
-				misses += int(x >> uint(int(pos[c])-i) & 1)
-			}
-		}
-		s = uint8(e)
-	}
-	for ; i < n; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if c < len(pos) && int(pos[c]) == i {
-			if t.out[s] != b {
-				misses++
-			}
-			c++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
+	var tally spanTally
+	ln := t.lane(0)
+	misses, s := ln.sampled(uint8(state), words, n, pos, runs, &tally)
+	tally.flush()
 	return misses, int(s)
 }
 
 // ReplayGated is the confidence-estimator replay: the machine steps on
-// every bit of the correctness stream, and positions whose valid bit
-// is set count toward flagged (machine predicted confident) and
-// flaggedCorrect (confident and the access was correct) — exactly the
-// per-segment loop of confidence.EvaluateStreams. Both streams carry n
-// bits in bitseq layout with zero padding past n; mismatched stream
-// lengths (or n beyond their capacity) are an explicit error, never a
-// silent truncation. Allocates nothing.
-func (t *BlockTable) ReplayGated(correct, valid []uint64, n int) (flagged, flaggedCorrect int, err error) {
+// every bit of the correctness stream from its start state, and
+// positions whose valid bit is set count toward flagged (machine
+// predicted confident) and flaggedCorrect (confident and the access was
+// correct) — exactly the per-segment loop of
+// confidence.EvaluateStreams. runs is an optional run index over the
+// correct stream. Both streams carry n bits in bitseq layout with zero
+// padding past n; mismatched stream lengths (or n beyond their
+// capacity) are an explicit error, never a silent truncation. Allocates
+// nothing.
+func (t *BlockTable) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
 	n, err = checkGatedStreams(correct, valid, n)
 	if err != nil {
 		return 0, 0, err
 	}
-	s := t.start
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w, off := i>>6, uint(i&63)
-		cb := uint8(correct[w] >> off)
-		vb := uint8(valid[w] >> off)
-		e := t.tab[int(s)<<blockShift|int(cb)]
-		pm := uint8(e >> 8)
-		flagged += bits.OnesCount8(vb & pm)
-		flaggedCorrect += bits.OnesCount8(vb & pm & cb)
-		s = uint8(e)
-	}
-	for ; i < n; i++ {
-		w, off := i>>6, uint(i&63)
-		cb := uint8(correct[w] >> off & 1)
-		if valid[w]>>off&1 == 1 && t.out[s] == 1 {
-			flagged++
-			flaggedCorrect += int(cb)
-		}
-		s = t.step[int(s)<<1|int(cb)]
-	}
+	var tally spanTally
+	ln := t.lane(0)
+	flagged, flaggedCorrect = ln.gated(t.start[0], correct, valid, n, runs, &tally)
+	tally.flush()
 	return flagged, flaggedCorrect, nil
-}
-
-// simulateBools is the blocked kernel over an unpacked bool slice:
-// bytes are assembled on the fly in a register, so the []bool entry
-// point gains the superstep without allocating a packed copy.
-func (t *BlockTable) simulateBools(trace []bool, skip int) SimResult {
-	n := len(trace)
-	if skip < 0 {
-		skip = 0
-	}
-	if skip > n {
-		skip = n
-	}
-	s := t.start
-	i := 0
-	for ; i < skip; i++ {
-		b := uint8(0)
-		if trace[i] {
-			b = 1
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res := SimResult{Total: n - skip}
-	correct := 0
-	for ; i+8 <= n; i += 8 {
-		var b uint8
-		for j := 0; j < 8; j++ {
-			if trace[i+j] {
-				b |= 1 << uint(j)
-			}
-		}
-		e := t.tab[int(s)<<blockShift|int(b)]
-		correct += 8 - bits.OnesCount8(uint8(e>>8)^b)
-		s = uint8(e)
-	}
-	for ; i < n; i++ {
-		b := uint8(0)
-		if trace[i] {
-			b = 1
-		}
-		if t.out[s] == b {
-			correct++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res.Correct = correct
-	return res
-}
-
-// BlockRunner is the streaming form of the blocked kernel: feed it
-// outcome bits in arbitrary-sized chunks (packed words, bool slices or
-// single bits) and it simulates exactly as one contiguous Simulate
-// would, buffering the ragged sub-byte boundary between chunks. The
-// zero value is not usable; construct with NewBlockRunner.
-type BlockRunner struct {
-	t     *BlockTable
-	state uint8
-	skip  int // warm-up events still to consume unscored
-	res   SimResult
-	buf   uint8 // pending bits below a byte boundary, earliest in bit 0
-	nbuf  int
-}
-
-// NewBlockRunner returns a runner at the table's start state that will
-// consume the first skip fed events as unscored warm-up.
-func NewBlockRunner(t *BlockTable, skip int) *BlockRunner {
-	if skip < 0 {
-		skip = 0
-	}
-	return &BlockRunner{t: t, state: t.start, skip: skip}
-}
-
-// stepBit consumes one event the scalar way.
-func (r *BlockRunner) stepBit(b uint8) {
-	t := r.t
-	if r.skip > 0 {
-		r.skip--
-	} else {
-		r.res.Total++
-		if t.out[r.state] == b {
-			r.res.Correct++
-		}
-	}
-	r.state = t.step[int(r.state)<<1|int(b)]
-}
-
-// stepByte consumes eight events through the closure table.
-func (r *BlockRunner) stepByte(b uint8) {
-	t := r.t
-	switch {
-	case r.skip >= 8:
-		r.state = uint8(t.tab[int(r.state)<<blockShift|int(b)])
-		r.skip -= 8
-	case r.skip > 0:
-		for j := 0; j < 8; j++ {
-			r.stepBit(b >> uint(j) & 1)
-		}
-	default:
-		e := t.tab[int(r.state)<<blockShift|int(b)]
-		r.res.Total += 8
-		r.res.Correct += 8 - bits.OnesCount8(uint8(e>>8)^b)
-		r.state = uint8(e)
-	}
-}
-
-// push buffers one bit, draining the buffer through the table whenever
-// a full byte accumulates.
-func (r *BlockRunner) push(b uint8) {
-	r.buf |= b << uint(r.nbuf)
-	r.nbuf++
-	if r.nbuf == 8 {
-		full := r.buf
-		r.buf, r.nbuf = 0, 0
-		r.stepByte(full)
-	}
-}
-
-// FeedBit streams a single event.
-func (r *BlockRunner) FeedBit(v bool) {
-	b := uint8(0)
-	if v {
-		b = 1
-	}
-	r.push(b)
-}
-
-// FeedBools streams a chunk of unpacked events.
-func (r *BlockRunner) FeedBools(vs []bool) {
-	for _, v := range vs {
-		r.FeedBit(v)
-	}
-}
-
-// FeedWords streams the first n bits of a packed chunk (bitseq
-// layout). Interior bytes go through the closure table directly once
-// the stream position is byte-aligned.
-func (r *BlockRunner) FeedWords(words []uint64, n int) {
-	i := 0
-	for i < n {
-		if r.nbuf == 0 && n-i >= 8 {
-			r.stepByte(byteAt(words, i))
-			i += 8
-			continue
-		}
-		r.push(uint8(words[i>>6] >> uint(i&63) & 1))
-		i++
-	}
-}
-
-// FeedBits streams a whole packed sequence.
-func (r *BlockRunner) FeedBits(b *bitseq.Bits) { r.FeedWords(b.Words(), b.Len()) }
-
-// Result tallies everything fed so far. Draining the sub-byte buffer
-// scalar-steps the machine, so calling Result mid-stream is exact and
-// feeding may continue afterwards.
-func (r *BlockRunner) Result() SimResult {
-	for j := 0; j < r.nbuf; j++ {
-		r.stepBit(r.buf >> uint(j) & 1)
-	}
-	r.buf, r.nbuf = 0, 0
-	return r.res
-}
-
-// State returns the machine state after every drained event; like
-// Result it first drains the sub-byte buffer.
-func (r *BlockRunner) State() int {
-	r.Result()
-	return int(r.state)
-}
-
-// byteAt extracts the 8 bits starting at position i of a packed word
-// stream, handling the word-crossing case.
-func byteAt(words []uint64, i int) uint8 {
-	w, off := i>>6, uint(i&63)
-	v := words[w] >> off
-	if off > 56 && w+1 < len(words) {
-		v |= words[w+1] << (64 - off)
-	}
-	return uint8(v)
 }

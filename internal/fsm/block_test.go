@@ -31,228 +31,32 @@ func randomBits(rng *rand.Rand, n int) *bitseq.Bits {
 	return b
 }
 
-// TestSimulatePackedMatchesScalar sweeps machines, lengths and skips —
-// including every sub-byte ragged head/tail combination — against the
-// scalar oracle.
-func TestSimulatePackedMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		states := 1 + rng.Intn(40)
-		m := randomMachine(rng, states)
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 100, 500} {
-			bits := randomBits(rng, n)
-			bools := bits.Bools()
-			for _, skip := range []int{0, 1, 3, 8, 17, n / 2, n, n + 5} {
-				want := m.SimulateScalar(bools, skip)
-				got := tab.SimulatePacked(bits.Words(), n, skip)
-				if got != want {
-					t.Fatalf("states=%d n=%d skip=%d: packed %+v, scalar %+v", states, n, skip, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestRunFromMatchesScalarFromState checks the arbitrary-entry-state
-// variant, whose exit state must also agree with the runner walk.
-func TestRunFromMatchesScalarFromState(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(30))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(300)
-		bits := randomBits(rng, n)
-		start := rng.Intn(m.NumStates())
-		skip := rng.Intn(n + 2)
-
-		// Scalar walk from the same state.
-		state := start
-		var want SimResult
-		for i := 0; i < n; i++ {
-			b := bits.At(i)
-			if i >= skip {
-				want.Total++
-				if m.Output[state] == b {
-					want.Correct++
-				}
-			}
-			state = m.Step(state, b)
-		}
-		got, end := tab.RunFrom(start, bits.Words(), n, skip)
-		if got != want || end != state {
-			t.Fatalf("trial %d: got %+v end %d, want %+v end %d", trial, got, end, want, state)
-		}
-	}
-}
-
-// TestRunSampledMatchesScalar checks the masked replay: advance every
-// bit, score only at sampled positions.
-func TestRunSampledMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(30))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 1 + rng.Intn(300)
-		bits := randomBits(rng, n)
-		var pos []int32
-		for i := 0; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				pos = append(pos, int32(i))
-			}
-		}
-		start := rng.Intn(m.NumStates())
-
-		state := start
-		wantMiss := 0
-		c := 0
-		for i := 0; i < n; i++ {
-			b := bits.At(i)
-			if c < len(pos) && int(pos[c]) == i {
-				if m.Output[state] != b {
-					wantMiss++
-				}
-				c++
-			}
-			state = m.Step(state, b)
-		}
-		miss, end := tab.RunSampled(start, bits.Words(), n, pos)
-		if miss != wantMiss || end != state {
-			t.Fatalf("trial %d: got %d misses end %d, want %d end %d", trial, miss, end, wantMiss, state)
-		}
-	}
-}
-
-// TestReplayGatedMatchesScalar checks the confidence replay against a
-// direct runner walk of the gated loop.
-func TestReplayGatedMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(30))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(300)
-		correct, valid := randomBits(rng, n), randomBits(rng, n)
-
-		state := m.Start
-		wantF, wantFC := 0, 0
-		for i := 0; i < n; i++ {
-			cb := correct.At(i)
-			if valid.At(i) && m.Output[state] {
-				wantF++
-				if cb {
-					wantFC++
-				}
-			}
-			state = m.Step(state, cb)
-		}
-		f, fc, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f != wantF || fc != wantFC {
-			t.Fatalf("trial %d: got (%d,%d), want (%d,%d)", trial, f, fc, wantF, wantFC)
-		}
-	}
-}
-
-// TestBlockRunnerChunkedMatchesSimulate feeds the same stream in
-// ragged chunks through every Feed entry point and requires the exact
-// Simulate tally and exit state.
-func TestBlockRunnerChunkedMatchesSimulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(30))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(500)
-		bits := randomBits(rng, n)
-		bools := bits.Bools()
-		skip := rng.Intn(n + 2)
-		want := m.SimulateScalar(bools, skip)
-
-		r := NewBlockRunner(tab, skip)
-		for i := 0; i < n; {
-			chunk := 1 + rng.Intn(13)
-			if i+chunk > n {
-				chunk = n - i
-			}
-			switch rng.Intn(3) {
-			case 0:
-				sub := &bitseq.Bits{}
-				for j := 0; j < chunk; j++ {
-					sub.Append(bools[i+j])
-				}
-				r.FeedBits(sub)
-			case 1:
-				r.FeedBools(bools[i : i+chunk])
-			default:
-				for j := 0; j < chunk; j++ {
-					r.FeedBit(bools[i+j])
-				}
-			}
-			i += chunk
-		}
-		if got := r.Result(); got != want {
-			t.Fatalf("trial %d: runner %+v, scalar %+v", trial, got, want)
-		}
-		// Exit state must match a full runner walk.
-		run := m.NewRunner()
-		for _, b := range bools {
-			run.Update(b)
-		}
-		if r.State() != run.State() {
-			t.Fatalf("trial %d: runner state %d, oracle %d", trial, r.State(), run.State())
-		}
-		// Result mid-stream then continued feeding stays exact.
-		r2 := NewBlockRunner(tab, skip)
-		half := n / 2
-		r2.FeedBools(bools[:half])
-		_ = r2.Result()
-		r2.FeedBools(bools[half:])
-		if got := r2.Result(); got != want {
-			t.Fatalf("trial %d: split runner %+v, scalar %+v", trial, got, want)
-		}
-	}
-}
-
 // TestSimulateUsesBlockKernel checks Simulate/SimulateBits agree with
-// the scalar oracle with the kernel both on and off.
+// the scalar oracle on the blocked walk and on the scalar fallback a
+// machine over the block-table bound takes.
 func TestSimulateUsesBlockKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomMachine(rng, 23)
-	bits := randomBits(rng, 1000)
+	bits := randomBits(rng, 10000)
 	bools := bits.Bools()
-	want := m.SimulateScalar(bools, 9)
-
-	if got := m.Simulate(bools, 9); got != want {
-		t.Fatalf("Simulate %+v, scalar %+v", got, want)
+	big := m.Clone()
+	for s := big.NumStates(); s <= maxBlockStates; s++ {
+		big.Output = append(big.Output, false)
+		big.Next = append(big.Next, [2]int{s, s})
 	}
-	if got := m.SimulateBits(bits, 9); got != want {
-		t.Fatalf("SimulateBits %+v, scalar %+v", got, want)
+	if BlockTableFor(m) == nil || BlockTableFor(big) != nil {
+		t.Fatal("block-table availability is not what the test needs")
 	}
-	defer SetBlockKernel(SetBlockKernel(false))
-	if BlockKernelEnabled() {
-		t.Fatal("kernel still enabled")
-	}
-	if got := m.Simulate(bools, 9); got != want {
-		t.Fatalf("Simulate (kernel off) %+v, scalar %+v", got, want)
-	}
-	if got := m.SimulateBits(bits, 9); got != want {
-		t.Fatalf("SimulateBits (kernel off) %+v, scalar %+v", got, want)
+	for _, skip := range []int{0, 9, 4096, 4100, 9999, 10000, 10001} {
+		want := m.SimulateScalar(bools, skip)
+		for name, mm := range map[string]*Machine{"blocked": m, "fallback": big} {
+			if got := mm.Simulate(bools, skip); got != want {
+				t.Fatalf("%s skip %d: Simulate %+v, scalar %+v", name, skip, got, want)
+			}
+			if got := mm.SimulateBits(bits, skip); got != want {
+				t.Fatalf("%s skip %d: SimulateBits %+v, scalar %+v", name, skip, got, want)
+			}
+		}
 	}
 }
 
@@ -308,7 +112,8 @@ func TestBlockTableForRejectsOversized(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	bits := randomBits(rng, 777)
-	if got, want := tab.SimulatePacked(bits.Words(), 777, 5), big.SimulateScalar(bits.Bools(), 5); got != want {
+	got, _ := tab.RunFrom(tab.StartState(), bits.Words(), 777, 5, nil)
+	if want := big.SimulateScalar(bits.Bools(), 5); got != want {
 		t.Fatalf("256-state machine: packed %+v, scalar %+v", got, want)
 	}
 }
@@ -343,7 +148,7 @@ func TestBlockTableCacheConcurrent(t *testing.T) {
 					t.Error("nil table")
 					return
 				}
-				if got := tab.SimulatePacked(streams[i].Words(), streams[i].Len(), 3); got != want[i] {
+				if got, _ := tab.RunFrom(tab.StartState(), streams[i].Words(), streams[i].Len(), 3, nil); got != want[i] {
 					t.Errorf("machine %d: got %+v, want %+v", i, got, want[i])
 					return
 				}
@@ -353,8 +158,8 @@ func TestBlockTableCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBlockKernelAllocs: the packed kernels and the warmed Simulate
-// paths must allocate nothing per call.
+// TestBlockKernelAllocs: the table walks, with and without a run
+// index, and the warmed Simulate paths must allocate nothing per call.
 func TestBlockKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomMachine(rng, 17)
@@ -362,8 +167,9 @@ func TestBlockKernelAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := randomBits(rng, 4096)
+	bits := runnyBits(rng, 4096, 0.9, 100)
 	words, n := bits.Words(), bits.Len()
+	runs := spanIndexOf(bits)
 	bools := bits.Bools()
 	var pos []int32
 	for i := 0; i < n; i += 7 {
@@ -375,9 +181,11 @@ func TestBlockKernelAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f per run, want 0", name, avg)
 		}
 	}
-	check("SimulatePacked", func() { tab.SimulatePacked(words, n, 11) })
-	check("RunSampled", func() { tab.RunSampled(3, words, n, pos) })
-	check("ReplayGated", func() { tab.ReplayGated(words, words, n) })
+	for _, r := range [][]bitseq.Run{nil, runs} {
+		check("RunFrom", func() { tab.RunFrom(2, words, n, 11, r) })
+		check("RunSampled", func() { tab.RunSampled(3, words, n, pos, r) })
+		check("ReplayGated", func() { tab.ReplayGated(words, words, n, r) })
+	}
 	check("Machine.SimulateBits", func() { m.SimulateBits(bits, 11) })
 	check("Machine.Simulate", func() { m.Simulate(bools, 11) })
 }
@@ -398,7 +206,7 @@ func BenchmarkSimulatePacked(b *testing.B) {
 	b.Run("blocked", func(b *testing.B) {
 		b.SetBytes(int64(n) / 8)
 		for i := 0; i < b.N; i++ {
-			tab.SimulatePacked(words, n, 64)
+			tab.RunFrom(tab.StartState(), words, n, 64, nil)
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {

@@ -1,10 +1,6 @@
 package fsm
 
-import (
-	"sync/atomic"
-
-	"fsmpredict/internal/memo"
-)
+import "fsmpredict/internal/memo"
 
 // The process-wide block-table cache, content-addressed by a 64-bit
 // machine hash with full structural verification on every hit (memo's
@@ -20,29 +16,13 @@ const blockCacheEntries = 512
 
 var blockCache = memo.New[uint64, *BlockTable](blockCacheEntries, (*BlockTable).Bytes)
 
-// blockKernelOff gates the blocked kernels; the zero value (enabled)
-// is the default. Figure-level oracle tests flip it to assert the
-// whole flow is byte-identical with and without the superstep path.
-var blockKernelOff atomic.Bool
-
-// SetBlockKernel enables or disables the blocked superstep kernels
-// process-wide and returns the previous setting. With the kernel off,
-// BlockTableFor returns nil and every caller falls back to the scalar
-// bit-at-a-time oracle.
-func SetBlockKernel(on bool) (was bool) {
-	return !blockKernelOff.Swap(!on)
-}
-
-// BlockKernelEnabled reports whether the blocked kernels are in use.
-func BlockKernelEnabled() bool { return !blockKernelOff.Load() }
-
 // BlockTableFor returns the shared closure table for a machine,
 // compiling and caching it on first use. It returns nil — callers then
-// fall back to the scalar path — when the kernel is disabled or the
-// machine is unrepresentable (invalid, or over 256 states). Safe for
-// concurrent use; steady-state lookups allocate nothing.
+// fall back to the scalar path — when the machine is unrepresentable
+// (invalid, or over 256 states). Safe for concurrent use; steady-state
+// lookups allocate nothing.
 func BlockTableFor(m *Machine) *BlockTable {
-	if m == nil || blockKernelOff.Load() {
+	if m == nil {
 		return nil
 	}
 	if n := m.NumStates(); n == 0 || n > maxBlockStates {

@@ -62,7 +62,7 @@ func encodeBlockTable(t *BlockTable) []byte {
 	n := t.NumStates()
 	b := make([]byte, 0, 8+3*n+2*len(t.tab))
 	b = disktier.AppendU32(b, uint32(n))
-	b = append(b, t.start)
+	b = append(b, t.start[0])
 	b = disktier.AppendBytes(b, t.out)
 	b = disktier.AppendBytes(b, t.step)
 	b = disktier.AppendU16s(b, t.tab)
@@ -95,6 +95,13 @@ func decodeBlockTable(payload []byte) (*BlockTable, bool) {
 		m.Output[s] = out[s] == 1
 		m.Next[s] = [2]int{int(step[s<<1]), int(step[s<<1|1])}
 	}
-	t := &BlockTable{tab: tab, step: step, out: out, start: start, src: m}
-	return t, true
+	// A closure entry's exit state must be a state of this machine: in
+	// a fleet, an out-of-range exit would index another slot's rows and
+	// turn into silently wrong bits rather than a miss.
+	for _, e := range tab {
+		if int(uint8(e)) >= n {
+			return nil, false
+		}
+	}
+	return newBlockTable(tab, step, out, start, m), true
 }

@@ -24,7 +24,8 @@ func TestBlockTableDiskCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.tab, want.tab) ||
 			!reflect.DeepEqual(got.step, want.step) ||
-			!reflect.DeepEqual(got.out, want.out) || got.start != want.start {
+			!reflect.DeepEqual(got.out, want.out) || !reflect.DeepEqual(got.start, want.start) ||
+			got.spans[0] == nil {
 			t.Fatalf("n=%d: decoded table differs", n)
 		}
 		if !got.compiledFrom(m) {
@@ -59,6 +60,14 @@ func TestBlockTableDecodeRejectsMalformed(t *testing.T) {
 	evil[stepOff] = 200 // successor 200 in a 5-state machine
 	if _, ok := decodeBlockTable(evil); ok {
 		t.Fatal("out-of-range successor accepted")
+	}
+	// So must a closure entry whose exit state is out of range: the
+	// table occupies the payload's tail, two bytes per entry, exit
+	// state in the low byte.
+	evil = append([]byte(nil), good...)
+	evil[len(evil)-2*(5<<blockShift)] = 5 // exit state 5 in a 5-state machine
+	if _, ok := decodeBlockTable(evil); ok {
+		t.Fatal("out-of-range closure exit state accepted")
 	}
 }
 
@@ -123,5 +132,47 @@ func TestBlockTableDiskTier(t *testing.T) {
 	}
 	if st := store.Stats(); st.Corrupt == 0 {
 		t.Fatal("store did not count the corrupted artifact")
+	}
+}
+
+// TestBlockTableDiskTierSpans is the regression for tables loaded from
+// the disk tier: they must carry span power tables like compiled ones,
+// so a walk with a run index — on the table itself and through a fleet
+// (the batch-simulate flush) — matches the scalar reference instead of
+// dereferencing a nil span table.
+func TestBlockTableDiskTierSpans(t *testing.T) {
+	store, err := disktier.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetDiskTier(store)
+	defer SetDiskTier(nil)
+	ResetBlockCache()
+
+	rng := rand.New(rand.NewSource(5))
+	m := randomMachine(rng, 13)
+	bits := runnyBits(rng, 5000, 0.95, 120)
+	words, n := bits.Words(), bits.Len()
+	runs := spanIndexOf(bits)
+	if len(runs) == 0 {
+		t.Fatal("runny stream produced no runs")
+	}
+	want := m.SimulateScalar(bits.Bools(), 3)
+
+	BlockTableFor(m) // compile and write through to disk
+	ResetBlockCache()
+	before := BlockStats().TierHits
+	tab := BlockTableFor(m)
+	if BlockStats().TierHits != before+1 {
+		t.Fatal("table was not served from the disk tier")
+	}
+	if got, _ := tab.RunFrom(tab.StartState(), words, n, 3, runs); got != want {
+		t.Fatalf("disk-tier RunFrom = %+v, want %+v", got, want)
+	}
+	other := randomMachine(rng, 6)
+	fl := FleetOfTables([]*BlockTable{tab, BlockTableFor(other)})
+	got := fl.RunParallelSpans(1, words, n, 3, runs)
+	if got[0] != want || got[1] != other.SimulateScalar(bits.Bools(), 3) {
+		t.Fatalf("disk-tier fleet = %+v, want %+v first", got, want)
 	}
 }

@@ -160,22 +160,39 @@ func (s SimResult) Accuracy() float64 {
 // Simulate predicts every bit of the trace in sequence, updating after
 // each outcome, and tallies correctness. skip outcomes at the head are
 // consumed as warm-up without being scored (the paper scores steady-state
-// behaviour). It runs on the byte-blocked superstep kernel (block.go)
-// via the shared table cache — compiling the machine's closure table on
-// first use, so steady-state calls allocate nothing — and falls back to
-// the scalar walk when the kernel is disabled or the machine exceeds
-// the table bound. Results are bit-identical either way.
+// behaviour). It packs the trace a stack buffer at a time and runs the
+// byte-blocked walk (BlockTable.RunFrom) via the shared table cache —
+// compiling the machine's closure table on first use, so steady-state
+// calls allocate nothing — and falls back to SimulateScalar when the
+// machine exceeds the table bound. Results are bit-identical either way.
 func (m *Machine) Simulate(trace []bool, skip int) SimResult {
-	if t := BlockTableFor(m); t != nil {
-		return t.simulateBools(trace, skip)
+	t := BlockTableFor(m)
+	if t == nil {
+		return m.SimulateScalar(trace, skip)
 	}
-	return m.SimulateScalar(trace, skip)
+	const chunk = 1 << 12
+	var buf [chunk >> 6]uint64
+	var res SimResult
+	state := t.StartState()
+	for lo := 0; lo < len(trace); lo += chunk {
+		part := trace[lo:min(lo+chunk, len(trace))]
+		clear(buf[:])
+		for i, b := range part {
+			if b {
+				buf[i>>6] |= 1 << uint(i&63)
+			}
+		}
+		r, end := t.RunFrom(state, buf[:], len(part), skip-lo, nil)
+		res.Total += r.Total
+		res.Correct += r.Correct
+		state = end
+	}
+	return res
 }
 
-// SimulateScalar is the bit-at-a-time reference walk — the
-// differential oracle every blocked kernel is tested against. The walk
-// is inlined rather than going through a Runner so a simulation
-// performs no allocations.
+// SimulateScalar is the bit-at-a-time reference walk — the oracle
+// every blocked walk is tested against. The walk is inlined rather than
+// going through a Runner so a simulation performs no allocations.
 func (m *Machine) SimulateScalar(trace []bool, skip int) SimResult {
 	state := m.Start
 	var res SimResult
@@ -198,8 +215,9 @@ func (m *Machine) SimulateScalar(trace []bool, skip int) SimResult {
 // RunSampledScalar is the bit-at-a-time form of BlockTable.RunSampled —
 // advance on every event of the packed stream from the given state,
 // score only the listed positions (strictly ascending, each in [0, n))
-// — kept as the differential oracle and as the fallback when the block
-// kernel is disabled. n beyond the words' capacity is clamped.
+// — kept as the sampled walk's reference and as the fallback for
+// machines over the block-table bound. n beyond the words' capacity is
+// clamped.
 func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32) (misses, end int) {
 	if n < 0 {
 		n = 0
@@ -228,10 +246,12 @@ func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32
 // SimulateBits is Simulate over a packed sequence: the hot entry point
 // for callers that already hold bit-packed outcomes (the serving
 // layer, the packed trace store), avoiding the []bool unpacking
-// entirely.
+// entirely. Machines over the block-table bound take a scalar walk
+// over the packed bits, still without unpacking.
 func (m *Machine) SimulateBits(trace *bitseq.Bits, skip int) SimResult {
 	if t := BlockTableFor(m); t != nil {
-		return t.SimulatePacked(trace.Words(), trace.Len(), skip)
+		res, _ := t.RunFrom(t.StartState(), trace.Words(), trace.Len(), skip, nil)
+		return res
 	}
 	state := m.Start
 	var res SimResult

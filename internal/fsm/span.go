@@ -1,12 +1,9 @@
 package fsm
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"fsmpredict/internal/bitseq"
 )
 
 // This file is the run-length span kernel, the content-aware rung above
@@ -18,28 +15,11 @@ import (
 // tab^(2^j) mapping state → (exit state, misprediction count) for 2^j
 // consecutive homogeneous bytes — so a k-byte run advances in
 // popcount(k) ≤ log2(k)+1 lookups with exact per-state miss
-// accumulation, instead of k byte lookups. The span kernels walk a
-// precomputed run index (bitseq.Runs) and fall back to the byte loop on
-// mixed segments; they are bit-identical to the block kernels by
+// accumulation, instead of k byte lookups. The engine's walkers
+// (walk.go) take a precomputed run index (bitseq.Runs) and use the byte
+// loop on mixed stretches; runs stay bit-identical to the byte loop by
 // construction — same event sequence, tables composed from the same
-// 2-symbol step function — and the block and scalar kernels stay on as
-// differential oracles behind the SetSpanKernel toggle, the PR 5/7
-// pattern.
-
-// spanKernelOff gates the span kernels; the zero value (enabled) is the
-// default. Figure-level oracle tests flip it to assert the whole flow
-// is byte-identical with and without run skipping.
-var spanKernelOff atomic.Bool
-
-// SetSpanKernel enables or disables run skipping process-wide and
-// returns the previous setting. With the kernel off every *Spans entry
-// point ignores its run index and runs the plain block kernel.
-func SetSpanKernel(on bool) (was bool) {
-	return !spanKernelOff.Swap(!on)
-}
-
-// SpanKernelEnabled reports whether run skipping is in use.
-func SpanKernelEnabled() bool { return !spanKernelOff.Load() }
+// 2-symbol step function.
 
 // SpanKernelStats is a snapshot of the process-wide span-kernel
 // counters — the source of the fsmpredict_span_* metrics.
@@ -188,323 +168,4 @@ func (st *SpanTable) walk(s uint8, k, b int) (uint8, int) {
 		k >>= 1
 	}
 	return s, miss
-}
-
-// Spans returns the machine's span power tables.
-func (t *BlockTable) Spans() *SpanTable { return t.span }
-
-// SimulatePackedSpans is SimulatePacked walking a run index: runs from
-// bitseq.Runs over the same words advance through the power tables,
-// mixed stretches through the byte loop. Bit-identical to
-// SimulatePacked for any index (including one built with a different
-// minimum run length); an empty index or a disabled span kernel falls
-// through to the block kernel unchanged.
-func (t *BlockTable) SimulatePackedSpans(words []uint64, n, skip int, runs []bitseq.Run) SimResult {
-	res, _ := t.RunFromSpans(t.StartState(), words, n, skip, runs)
-	return res
-}
-
-// RunFromSpans is RunFrom walking a run index — the stateful span
-// kernel entry point. The event sequence is RunFrom's exactly (warm-up
-// bytes, ragged warm-up tail, scored scalar head, scored byte body,
-// scored scalar tail); homogeneous runs inside the two byte phases
-// advance in O(log run) power-table lookups, with warm-up runs
-// discarding their miss counts.
-func (t *BlockTable) RunFromSpans(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.RunFrom(state, words, n, skip)
-	}
-	n, skip = clampSpan(words, n, skip)
-	var tally spanTally
-	s := uint8(state)
-	i, r := 0, 0
-	i, s, _ = t.spanBytes(words, i, skip&^7, s, runs, &r, &tally)
-	for ; i < skip; i++ {
-		b := words[i>>6] >> uint(i&63) & 1
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res := SimResult{Total: n - skip}
-	correct := 0
-	for ; i < n && i&7 != 0; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if t.out[s] == b {
-			correct++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	lo := i
-	var miss int
-	i, s, miss = t.spanBytes(words, i, n&^7, s, runs, &r, &tally)
-	correct += (i - lo) - miss
-	for ; i < n; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if t.out[s] == b {
-			correct++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	res.Correct = correct
-	tally.flush()
-	return res, int(s)
-}
-
-// spanBytes advances through the byte-aligned events [i, end) — both
-// multiples of 8 — mixed bytes through the closure table, homogeneous
-// runs through the power tables, returning the position reached, the
-// exit state and the misprediction count over the region. r is the
-// caller's cursor into the run index and only moves forward, so one
-// cursor serves a whole multi-region walk.
-func (t *BlockTable) spanBytes(words []uint64, i, end int, s uint8, runs []bitseq.Run, r *int, tally *spanTally) (int, uint8, int) {
-	miss := 0
-	for i < end {
-		for *r < len(runs) && runs[*r].End() <= i {
-			*r++
-		}
-		rs, re := end, end
-		if *r < len(runs) {
-			rs, re = int(runs[*r].Start), runs[*r].End()
-			if rs < i {
-				rs = i
-			}
-			if rs > end {
-				rs = end
-			}
-			if re > end {
-				re = end
-			}
-		}
-		for ; i < rs; i += 8 {
-			b := uint8(words[i>>6] >> uint(i&63))
-			e := t.tab[int(s)<<blockShift|int(b)]
-			miss += bits.OnesCount8(uint8(e>>8) ^ b)
-			s = uint8(e)
-		}
-		if k := (re - i) >> 3; k > 0 {
-			b := 0
-			if runs[*r].One {
-				b = 1
-			}
-			var m int
-			s, m = t.span.walk(s, k, b)
-			miss += m
-			tally.runs++
-			tally.skipped += k << 3
-			i = re
-		}
-	}
-	return i, s, miss
-}
-
-// RunSampledSpans is RunSampled walking a run index: stretches of a
-// homogeneous run holding no sampled position advance through the power
-// tables (their misses are irrelevant — only sampled positions score),
-// and the byte containing a sampled position goes through the closure
-// table so its per-event predictions are available. Bit-identical to
-// RunSampled.
-func (t *BlockTable) RunSampledSpans(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.RunSampled(state, words, n, pos)
-	}
-	n, _ = clampSpan(words, n, 0)
-	var tally spanTally
-	s := uint8(state)
-	c := 0
-	i, r := 0, 0
-	bodyEnd := n &^ 7
-	for i < bodyEnd {
-		for r < len(runs) && runs[r].End() <= i {
-			r++
-		}
-		rs, re := bodyEnd, bodyEnd
-		if r < len(runs) {
-			rs, re = int(runs[r].Start), runs[r].End()
-			if rs < i {
-				rs = i
-			}
-			if rs > bodyEnd {
-				rs = bodyEnd
-			}
-			if re > bodyEnd {
-				re = bodyEnd
-			}
-		}
-		for ; i < rs; i += 8 {
-			b := uint8(words[i>>6] >> uint(i&63))
-			e := t.tab[int(s)<<blockShift|int(b)]
-			if c < len(pos) && int(pos[c]) < i+8 {
-				x := uint8(e>>8) ^ b
-				for ; c < len(pos) && int(pos[c]) < i+8; c++ {
-					misses += int(x >> uint(int(pos[c])-i) & 1)
-				}
-			}
-			s = uint8(e)
-		}
-		for i < re {
-			stop := re
-			if c < len(pos) && int(pos[c]) < re {
-				stop = int(pos[c]) &^ 7
-			}
-			if k := (stop - i) >> 3; k > 0 {
-				b := 0
-				if runs[r].One {
-					b = 1
-				}
-				s, _ = t.span.walk(s, k, b)
-				tally.runs++
-				tally.skipped += k << 3
-				i = stop
-			}
-			if i < re && c < len(pos) && int(pos[c]) < i+8 {
-				b := uint8(words[i>>6] >> uint(i&63))
-				e := t.tab[int(s)<<blockShift|int(b)]
-				x := uint8(e>>8) ^ b
-				for ; c < len(pos) && int(pos[c]) < i+8; c++ {
-					misses += int(x >> uint(int(pos[c])-i) & 1)
-				}
-				s = uint8(e)
-				i += 8
-			}
-		}
-	}
-	for ; i < n; i++ {
-		b := uint8(words[i>>6] >> uint(i&63) & 1)
-		if c < len(pos) && int(pos[c]) == i {
-			if t.out[s] != b {
-				misses++
-			}
-			c++
-		}
-		s = t.step[int(s)<<1|int(b)]
-	}
-	tally.flush()
-	return misses, int(s)
-}
-
-// ReplayGatedSpans is ReplayGated walking a run index over the correct
-// stream. Flagged counts need the valid bits, so a run is skipped only
-// across stretches where the valid stream is saturated (all ones) —
-// there the tallies are pure functions of the machine path: on a ones
-// run every predict-taken step is flagged AND correct, on a zeros run
-// every predict-taken step is flagged and none correct, and the power
-// tables' miss counts are exactly those step counts. Elsewhere the run
-// falls back to the gated byte loop. Bit-identical to ReplayGated, and
-// like it errors on mismatched stream lengths.
-func (t *BlockTable) ReplayGatedSpans(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.ReplayGated(correct, valid, n)
-	}
-	n, err = checkGatedStreams(correct, valid, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	var tally spanTally
-	s := t.start
-	i, r := 0, 0
-	bodyEnd := n &^ 7
-	for i < bodyEnd {
-		for r < len(runs) && runs[r].End() <= i {
-			r++
-		}
-		rs, re := bodyEnd, bodyEnd
-		if r < len(runs) {
-			rs, re = int(runs[r].Start), runs[r].End()
-			if rs < i {
-				rs = i
-			}
-			if rs > bodyEnd {
-				rs = bodyEnd
-			}
-			if re > bodyEnd {
-				re = bodyEnd
-			}
-		}
-		for ; i < rs; i += 8 {
-			w, off := i>>6, uint(i&63)
-			cb := uint8(correct[w] >> off)
-			vb := uint8(valid[w] >> off)
-			e := t.tab[int(s)<<blockShift|int(cb)]
-			pm := uint8(e >> 8)
-			flagged += bits.OnesCount8(vb & pm)
-			flaggedCorrect += bits.OnesCount8(vb & pm & cb)
-			s = uint8(e)
-		}
-		for i < re {
-			if j := allOnesTo(valid, i, re); j > i {
-				k := (j - i) >> 3
-				b := 0
-				if runs[r].One {
-					b = 1
-				}
-				s2, m := t.span.walk(s, k, b)
-				s = s2
-				if b == 1 {
-					f := k<<3 - m
-					flagged += f
-					flaggedCorrect += f
-				} else {
-					flagged += m
-				}
-				tally.runs++
-				tally.skipped += k << 3
-				i = j
-			} else {
-				w, off := i>>6, uint(i&63)
-				cb := uint8(correct[w] >> off)
-				vb := uint8(valid[w] >> off)
-				e := t.tab[int(s)<<blockShift|int(cb)]
-				pm := uint8(e >> 8)
-				flagged += bits.OnesCount8(vb & pm)
-				flaggedCorrect += bits.OnesCount8(vb & pm & cb)
-				s = uint8(e)
-				i += 8
-			}
-		}
-	}
-	for ; i < n; i++ {
-		w, off := i>>6, uint(i&63)
-		cb := uint8(correct[w] >> off & 1)
-		if valid[w]>>off&1 == 1 && t.out[s] == 1 {
-			flagged++
-			flaggedCorrect += int(cb)
-		}
-		s = t.step[int(s)<<1|int(cb)]
-	}
-	tally.flush()
-	return flagged, flaggedCorrect, nil
-}
-
-// allOnesTo returns the largest byte-aligned position j in [i, end]
-// such that bits [i, j) of the packed stream are all ones, scanning a
-// word at a time on aligned stretches. i and end must be byte-aligned.
-func allOnesTo(words []uint64, i, end int) int {
-	j := i
-	for j < end {
-		if j&63 == 0 && j+64 <= end && words[j>>6] == ^uint64(0) {
-			j += 64
-			continue
-		}
-		if uint8(words[j>>6]>>uint(j&63)) != 0xFF {
-			break
-		}
-		j += 8
-	}
-	return j
-}
-
-// checkGatedStreams validates a gated replay's inputs: the two packed
-// streams must have the same word length and hold at least n bits.
-// Mismatched streams are a caller bug — silently truncating to the
-// shorter one would misattribute confidence tallies — so they are an
-// explicit error rather than a clamp.
-func checkGatedStreams(correct, valid []uint64, n int) (int, error) {
-	if n < 0 {
-		n = 0
-	}
-	if len(correct) != len(valid) {
-		return 0, fmt.Errorf("fsm: gated replay streams differ: %d correct words vs %d valid words", len(correct), len(valid))
-	}
-	if max := len(correct) << 6; n > max {
-		return 0, fmt.Errorf("fsm: gated replay of %d events exceeds the streams' %d-bit capacity", n, max)
-	}
-	return n, nil
 }

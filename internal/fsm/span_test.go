@@ -51,7 +51,7 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := tab.Spans()
+		st := tab.spans[0]
 		for _, k := range []int{1, 2, 3, 5, 8, 13, 31, 64, 100} {
 			for b := 0; b < 2; b++ {
 				s0 := rng.Intn(len(m.Output))
@@ -72,122 +72,9 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRunFromSpansMatchesRunFrom sweeps biased runny streams with random
-// skips — every ragged alignment of run boundaries against the kernel's
-// warm-up/head/body/tail phases — against the block kernel.
-func TestRunFromSpansMatchesRunFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 60; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(40))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(2000)
-		bias := 0.5 + rng.Float64()*0.49
-		bits := runnyBits(rng, n, bias, float64(1+rng.Intn(200)))
-		words := bits.Words()
-		runs := spanIndexOf(bits)
-		skip := rng.Intn(n + 2)
-		state := rng.Intn(len(m.Output))
-
-		wantRes, wantEnd := tab.RunFrom(state, words, n, skip)
-		gotRes, gotEnd := tab.RunFromSpans(state, words, n, skip, runs)
-		if gotRes != wantRes || gotEnd != wantEnd {
-			t.Fatalf("trial %d (n=%d skip=%d runs=%d): spans (%+v,%d), block (%+v,%d)",
-				trial, n, skip, len(runs), gotRes, gotEnd, wantRes, wantEnd)
-		}
-	}
-}
-
-// TestSimulatePackedSpansMatchesScalar pins the span kernel directly to
-// the scalar oracle, not just to the block kernel.
-func TestSimulatePackedSpansMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 20; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(30))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(1500)
-		bits := runnyBits(rng, n, 0.9, 40)
-		skip := rng.Intn(n + 2)
-		want := m.SimulateScalar(bits.Bools(), skip)
-		got := tab.SimulatePackedSpans(bits.Words(), n, skip, spanIndexOf(bits))
-		if got != want {
-			t.Fatalf("trial %d: spans %+v, scalar %+v", trial, got, want)
-		}
-	}
-}
-
-// TestRunSampledSpansMatchesRunSampled sweeps random sampled-position
-// subsets — empty, sparse, dense, clustered inside runs — against the
-// block kernel.
-func TestRunSampledSpansMatchesRunSampled(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	for trial := 0; trial < 60; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(40))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(2000)
-		bits := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(150)))
-		words := bits.Words()
-		runs := spanIndexOf(bits)
-		var pos []int32
-		for i := 0; i < n; i++ {
-			if rng.Float64() < 0.05 {
-				pos = append(pos, int32(i))
-			}
-		}
-		state := rng.Intn(len(m.Output))
-
-		wantM, wantEnd := tab.RunSampled(state, words, n, pos)
-		gotM, gotEnd := tab.RunSampledSpans(state, words, n, pos, runs)
-		if gotM != wantM || gotEnd != wantEnd {
-			t.Fatalf("trial %d (n=%d pos=%d): spans (%d,%d), block (%d,%d)",
-				trial, n, len(pos), gotM, gotEnd, wantM, wantEnd)
-		}
-	}
-}
-
-// TestReplayGatedSpansMatchesReplayGated sweeps gated replays whose
-// valid stream mixes saturated stretches (where runs skip) with sparse
-// gating (where they fall back), against the block kernel.
-func TestReplayGatedSpansMatchesReplayGated(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	for trial := 0; trial < 60; trial++ {
-		m := randomMachine(rng, 1+rng.Intn(40))
-		tab, err := CompileBlockTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := rng.Intn(2000)
-		correct := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(150)))
-		// Valid saturates in long stretches, like a warm predictor table.
-		valid := runnyBits(rng, n, 0.95, 200)
-		runs := spanIndexOf(correct)
-
-		wantF, wantFC, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotF, gotFC, err := tab.ReplayGatedSpans(correct.Words(), valid.Words(), n, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotF != wantF || gotFC != wantFC {
-			t.Fatalf("trial %d (n=%d runs=%d): spans (%d,%d), block (%d,%d)",
-				trial, n, len(runs), gotF, gotFC, wantF, wantFC)
-		}
-	}
-}
-
 // TestGatedStreamsMismatchError pins the satellite fix: mismatched
 // gated streams are an explicit error, not a silent truncation — on the
-// single-machine kernel, the fleet, and the span variants.
+// single-machine table and the fleet, with and without a run index.
 func TestGatedStreamsMismatchError(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	m := randomMachine(rng, 8)
@@ -195,136 +82,29 @@ func TestGatedStreamsMismatchError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := NewFleet([]*Machine{m})
+	fl, err := NewFleet([]*Machine{m, randomMachine(rng, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	short, long := make([]uint64, 2), make([]uint64, 3)
+	runs := []bitseq.Run{{Start: 0, Bytes: 8}}
 
-	if _, _, err := tab.ReplayGated(short, long, 100); err == nil {
-		t.Fatal("BlockTable.ReplayGated accepted mismatched streams")
-	}
-	if _, _, err := tab.ReplayGatedSpans(long, short, 100, nil); err == nil {
-		t.Fatal("BlockTable.ReplayGatedSpans accepted mismatched streams")
-	}
-	if _, _, err := fl.ReplayGated(short, long, 100); err == nil {
-		t.Fatal("Fleet.ReplayGated accepted mismatched streams")
-	}
-	if _, _, err := fl.ReplayGatedSpans(long, short, 100, nil); err == nil {
-		t.Fatal("Fleet.ReplayGatedSpans accepted mismatched streams")
-	}
-	if _, _, err := tab.ReplayGated(short, short, 129); err == nil {
-		t.Fatal("ReplayGated accepted n beyond the streams' capacity")
-	}
-	if _, _, err := tab.ReplayGated(short, short, 128); err != nil {
-		t.Fatalf("ReplayGated rejected an exactly-full stream: %v", err)
-	}
-	if f, fc, err := tab.ReplayGated(short, short, -5); err != nil || f != 0 || fc != 0 {
-		t.Fatalf("ReplayGated on negative n: (%d,%d,%v), want zeros", f, fc, err)
-	}
-}
-
-// TestFleetRunSpansMatchesRun checks the fleet span path — run-boundary
-// segment cutting, per-lane power walks, the scoreFrom straddle — against
-// the plain fleet and the single-machine kernel, including deduped twins.
-func TestFleetRunSpansMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 25; trial++ {
-		count := 1 + rng.Intn(12)
-		machines := make([]*Machine, count)
-		for j := range machines {
-			if j > 0 && rng.Intn(3) == 0 {
-				machines[j] = machines[rng.Intn(j)]
-			} else {
-				machines[j] = randomMachine(rng, 1+rng.Intn(25))
-			}
+	for _, r := range [][]bitseq.Run{nil, runs} {
+		if _, _, err := tab.ReplayGated(short, long, 100, r); err == nil {
+			t.Fatal("BlockTable.ReplayGated accepted mismatched streams")
 		}
-		fl, err := NewFleet(machines)
-		if err != nil {
-			t.Fatal(err)
+		if _, _, err := fl.ReplayGated(long, short, 100, r); err == nil {
+			t.Fatal("Fleet.ReplayGated accepted mismatched streams")
 		}
-		n := rng.Intn(4000)
-		bits := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(300)))
-		words := bits.Words()
-		runs := spanIndexOf(bits)
-		skip := rng.Intn(n + 2)
-
-		want := fl.RunParallelSpans(1, words, n, skip, nil)
-		got := fl.RunSpans(words, n, skip, runs)
-		gotPar := fl.RunParallelSpans(3, words, n, skip, runs)
-		for j := range machines {
-			if got[j] != want[j] || gotPar[j] != want[j] {
-				t.Fatalf("trial %d machine %d: spans %+v par %+v, plain %+v",
-					trial, j, got[j], gotPar[j], want[j])
-			}
+		if _, _, err := tab.ReplayGated(short, short, 129, r); err == nil {
+			t.Fatal("ReplayGated accepted n beyond the streams' capacity")
 		}
-	}
-}
-
-// TestFleetReplayGatedSpansMatchesBlockTable checks the fleet's gated
-// span replay against the single-machine span kernel.
-func TestFleetReplayGatedSpansMatchesBlockTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 25; trial++ {
-		count := 1 + rng.Intn(8)
-		machines := make([]*Machine, count)
-		for j := range machines {
-			machines[j] = randomMachine(rng, 1+rng.Intn(20))
+		if _, _, err := tab.ReplayGated(short, short, 128, r); err != nil {
+			t.Fatalf("ReplayGated rejected an exactly-full stream: %v", err)
 		}
-		fl, err := NewFleet(machines)
-		if err != nil {
-			t.Fatal(err)
+		if f, fc, err := tab.ReplayGated(short, short, -5, r); err != nil || f != 0 || fc != 0 {
+			t.Fatalf("ReplayGated on negative n: (%d,%d,%v), want zeros", f, fc, err)
 		}
-		n := rng.Intn(2000)
-		correct := runnyBits(rng, n, 0.9, 100)
-		valid := runnyBits(rng, n, 0.97, 300)
-		runs := spanIndexOf(correct)
-
-		gf, gfc, err := fl.ReplayGatedSpans(correct.Words(), valid.Words(), n, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, m := range machines {
-			tab, err := CompileBlockTable(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wf, wfc, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gf[j] != wf || gfc[j] != wfc {
-				t.Fatalf("trial %d machine %d: fleet (%d,%d), single (%d,%d)",
-					trial, j, gf[j], gfc[j], wf, wfc)
-			}
-		}
-	}
-}
-
-// TestSpanKernelToggle proves the toggle routes around the span path and
-// that both settings produce identical results.
-func TestSpanKernelToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	m := randomMachine(rng, 12)
-	tab, err := CompileBlockTable(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := runnyBits(rng, 3000, 0.95, 80)
-	runs := spanIndexOf(bits)
-	on := tab.SimulatePackedSpans(bits.Words(), bits.Len(), 16, runs)
-
-	was := SetSpanKernel(false)
-	defer SetSpanKernel(was)
-	if !was {
-		t.Fatal("span kernel should default to enabled")
-	}
-	if SpanKernelEnabled() {
-		t.Fatal("SetSpanKernel(false) left the kernel enabled")
-	}
-	off := tab.SimulatePackedSpans(bits.Words(), bits.Len(), 16, runs)
-	if on != off {
-		t.Fatalf("toggle changed results: on %+v, off %+v", on, off)
 	}
 }
 
@@ -343,7 +123,7 @@ func TestSpanStatsAdvance(t *testing.T) {
 		t.Fatal("runny stream produced no runs")
 	}
 	before := SpanStats()
-	tab.SimulatePackedSpans(bits.Words(), bits.Len(), 0, runs)
+	tab.RunFrom(tab.StartState(), bits.Words(), bits.Len(), 0, runs)
 	after := SpanStats()
 	if after.Runs <= before.Runs || after.SkippedEvents <= before.SkippedEvents {
 		t.Fatalf("span counters did not advance: before %+v, after %+v", before, after)
@@ -366,7 +146,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 	bits := runnyBits(rng, 20000, 0.96, 150)
 	words, n := bits.Words(), bits.Len()
 	runs := spanIndexOf(bits)
-	want := tab.SimulatePacked(words, n, 5)
+	want, _ := tab.RunFrom(tab.StartState(), words, n, 5, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -374,7 +154,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
-				if got := tab.SimulatePackedSpans(words, n, 5, runs); got != want {
+				if got, _ := tab.RunFrom(tab.StartState(), words, n, 5, runs); got != want {
 					t.Errorf("goroutine %d iter %d: %+v, want %+v", g, it, got, want)
 					return
 				}
@@ -407,13 +187,13 @@ func BenchmarkSpanKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("block/runlen=%d", runlen), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePacked(words, n, 0)
+				tab.RunFrom(tab.StartState(), words, n, 0, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("span/runlen=%d", runlen), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePackedSpans(words, n, 0, runs)
+				tab.RunFrom(tab.StartState(), words, n, 0, runs)
 			}
 		})
 		b.Run(fmt.Sprintf("index/runlen=%d", runlen), func(b *testing.B) {
@@ -445,13 +225,13 @@ func BenchmarkSpanBias(b *testing.B) {
 		b.Run(fmt.Sprintf("off/bias=%g", bias), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePacked(words, n, 0)
+				tab.RunFrom(tab.StartState(), words, n, 0, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("on/bias=%g", bias), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePackedSpans(words, n, 0, runs)
+				tab.RunFrom(tab.StartState(), words, n, 0, runs)
 			}
 		})
 	}

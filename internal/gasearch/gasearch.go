@@ -62,9 +62,8 @@ type Options struct {
 	// Adaptive enables staged-fidelity candidate racing with the
 	// persistent fitness memo (internal/fidelity). Default off — the
 	// exact evaluator is the differential oracle the adaptive path is
-	// tested against. Adaptive requires the block kernel; with the
-	// kernel disabled the search silently runs exact. Best and
-	// BestMissRate are always exact full-trace values in either mode.
+	// tested against. Best and BestMissRate are always exact full-trace
+	// values in either mode.
 	Adaptive bool
 }
 
@@ -214,25 +213,23 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		return tabs, true
 	}
 
-	// evaluateAll is the exact evaluator and the differential oracle:
-	// every genome's fitness is its full-trace miss rate.
+	// evaluateAll is the exact evaluator: every genome's fitness is its
+	// full-trace miss rate.
 	evaluateAll := func(batch []*genome) {
 		res.Evaluations += len(batch)
-		if fsm.BlockKernelEnabled() {
-			// Compile directly rather than through the shared block
-			// cache: a search burns through thousands of transient
-			// machines that would evict the serving workload's entries.
-			if tabs, ok := compileBatch(batch); ok {
-				fl := fsm.FleetOfTables(tabs)
-				rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
-				for i, g := range batch {
-					g.miss, g.exact = rs[i].MissRate(), true
-				}
-				return
+		// Compile directly rather than through the shared block cache: a
+		// search burns through thousands of transient machines that
+		// would evict the serving workload's entries.
+		if tabs, ok := compileBatch(batch); ok {
+			fl := fsm.FleetOfTables(tabs)
+			rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
+			for i, g := range batch {
+				g.miss, g.exact = rs[i].MissRate(), true
 			}
+			return
 		}
-		// Scalar oracle: per-genome bit-at-a-time simulation. The
-		// kernel on/off differential test pins the two paths together.
+		// Unreachable for generated genomes (<= 64 valid states); score
+		// per genome defensively.
 		for _, g := range batch {
 			g.miss, g.exact = g.m.Simulate(trace, opt.Warmup).MissRate(), true
 		}
@@ -241,12 +238,11 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// Adaptive plumbing. The ladder is nil when the trace is too short
 	// to stage, in which case adaptive mode degenerates to exact
 	// scoring through the memo — same fitness values, same trajectory.
-	adaptive := opt.Adaptive && fsm.BlockKernelEnabled()
 	var (
 		ladder *fidelity.Ladder
 		digest fidelity.Key
 	)
-	if adaptive {
+	if opt.Adaptive {
 		digest = fidelity.TraceDigest(words, n)
 		ladder = fidelity.NewLadder(words, n, runs, fidelity.LadderConfig{
 			Warmup:  opt.Warmup,
@@ -384,7 +380,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// first parent pool, so losers can keep windowed estimates, and a
 	// random population's spread dwarfs the window radius — this is where
 	// pruning bites hardest. ensureTopExact then settles the pool.
-	if adaptive {
+	if opt.Adaptive {
 		evaluateAdaptive(pop, nil, ladder != nil)
 		sortByFitness(pop)
 		ensureTopExact(pop, opt.Pool)
@@ -411,7 +407,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			mutate(rng, child.m, opt.MutationRate)
 			next = append(next, child)
 		}
-		if adaptive {
+		if opt.Adaptive {
 			// The carried elites anchor the racing bar (they hold pool
 			// slots with exact scores), and the ladder is dropped for
 			// good once pruning shows no traction for a few generations.

@@ -123,10 +123,12 @@ func TestDesignerMatchesSearchQuality(t *testing.T) {
 		designed, res.BestMissRate, res.Evaluations)
 }
 
-// TestSearchKernelOnOffIdentical pins the fleet-batched evaluation path
-// to the scalar per-genome oracle: the search trajectory — every
-// generation's best, the final machine, the evaluation count — must be
-// bit-identical with the block kernel on and off.
+// TestSearchKernelOnOffIdentical pins the fleet-batched evaluation to
+// the scalar reference walk: the champion and every generation's best
+// must score exactly their reported miss rate under
+// Machine.SimulateScalar. A search cut after g generations replays the
+// full search's first g generations (evaluation draws no randomness),
+// so its champion is the full search's generation-g best.
 func TestSearchKernelOnOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	trace := make([]bool, 1500)
@@ -134,27 +136,26 @@ func TestSearchKernelOnOffIdentical(t *testing.T) {
 		trace[i] = i%5 < 3 || rng.Intn(4) == 0
 	}
 	opt := Options{States: 6, Population: 24, Generations: 12, Seed: 9, Warmup: 5}
-
-	was := fsm.SetBlockKernel(true)
-	defer fsm.SetBlockKernel(was)
-	on, err := Search(trace, opt)
+	full, err := Search(trace, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsm.SetBlockKernel(false)
-	off, err := Search(trace, opt)
-	if err != nil {
-		t.Fatal(err)
+	if got := full.Best.SimulateScalar(trace, opt.Warmup).MissRate(); got != full.BestMissRate {
+		t.Fatalf("champion: scalar miss %v, reported %v", got, full.BestMissRate)
 	}
-	if !reflect.DeepEqual(on.PerGeneration, off.PerGeneration) {
-		t.Fatalf("per-generation curves diverge:\non:  %v\noff: %v", on.PerGeneration, off.PerGeneration)
-	}
-	if on.BestMissRate != off.BestMissRate || on.Evaluations != off.Evaluations {
-		t.Fatalf("kernel on %v/%d, off %v/%d",
-			on.BestMissRate, on.Evaluations, off.BestMissRate, off.Evaluations)
-	}
-	if !reflect.DeepEqual(on.Best, off.Best) {
-		t.Fatal("best machines diverge")
+	for g := 1; g <= opt.Generations; g++ {
+		cut := opt
+		cut.Generations = g
+		res, err := Search(trace, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.PerGeneration, full.PerGeneration[:g]) {
+			t.Fatalf("generation %d: cut search diverges:\ncut:  %v\nfull: %v", g, res.PerGeneration, full.PerGeneration[:g])
+		}
+		if got := res.Best.SimulateScalar(trace, opt.Warmup).MissRate(); got != full.PerGeneration[g-1] {
+			t.Fatalf("generation %d best: scalar miss %v, reported %v", g, got, full.PerGeneration[g-1])
+		}
 	}
 }
 
@@ -179,8 +180,8 @@ func TestSearchWorkersInvariant(t *testing.T) {
 }
 
 // BenchmarkGASearch measures a full search with population-batched
-// fleet evaluation against the scalar per-genome path — the wall-clock
-// headline for the search side of the fleet kernel.
+// fleet evaluation — the wall-clock headline for the search side of the
+// fleet kernel.
 func BenchmarkGASearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	trace := make([]bool, 1<<15)
@@ -194,18 +195,6 @@ func BenchmarkGASearch(b *testing.B) {
 	opt := Options{States: 8, Population: 64, Generations: 20, Seed: 3, Warmup: 3}
 	bytes := int64(opt.Population*(opt.Generations+1)) * int64(len(trace)) / 8
 	b.Run("fleet", func(b *testing.B) {
-		was := fsm.SetBlockKernel(true)
-		defer fsm.SetBlockKernel(was)
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			if _, err := Search(trace, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		was := fsm.SetBlockKernel(false)
-		defer fsm.SetBlockKernel(was)
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
 			if _, err := Search(trace, opt); err != nil {
