@@ -184,6 +184,39 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	}
 }
 
+// sweep runs the predictor over one block of events — xs[e] the PC word
+// index (pc >> 2), ts[e] the outcome bit — exactly as Predict then
+// Update per event would, and returns the block's misses. The history
+// register lives in a local for the block and is written back.
+func (g *Gshare) sweep(xs []uint32, ts []uint8) (misses int) {
+	ghr, mask, table := g.ghr, g.mask, g.table
+	ts = ts[:len(xs)]
+	for e, x := range xs {
+		t := ts[e]
+		i := (x ^ ghr) & mask
+		c := table[i]
+		misses += int(uint8(c)>>1 ^ t)
+		table[i] = counterStep[counterIndex(c, 1, t)]
+		ghr = (ghr<<1 | uint32(t)) & mask
+	}
+	g.ghr = ghr
+	return misses
+}
+
+// counterStep is the 2-bit saturating counter as a lookup table, indexed
+// by counterIndex: a disabled step keeps the counter, an enabled one
+// moves it one step toward up, saturating at 0 and 3.
+var counterStep = [16]int8{
+	0, 1, 2, 3, 0, 1, 2, 3, // disabled
+	0, 0, 1, 2, 1, 2, 3, 3, // enabled: down, then up
+}
+
+// counterIndex packs a counter (0..3), an enable bit and a direction bit
+// into a counterStep index; the mask proves the index in range.
+func counterIndex(c int8, enable, up uint8) uint8 {
+	return (enable<<3 | up<<2 | uint8(c)) & 15
+}
+
 // Area is the counter table plus the shared BTB.
 func (g *Gshare) Area() float64 {
 	return BTBArea() + float64(uint64(2)<<uint(g.bits))*SRAMBit
@@ -289,6 +322,33 @@ func (l *LGC) Update(pc uint64, taken bool) {
 	if taken {
 		l.ghr |= 1
 	}
+}
+
+// sweep runs the predictor over one block of events exactly as Predict
+// then Update per event would (see Gshare.sweep), branch-free: the
+// chooser selects a component by bit arithmetic and trains through a
+// disabled counter step when the components agree.
+func (l *LGC) sweep(xs []uint32, ts []uint8) (misses int) {
+	ghr, mask := l.ghr, l.mask
+	hmask := uint32(1)<<uint(l.histBits) - 1
+	localHist, localPHT, globalPHT, chooser := l.localHist, l.localPHT, l.globalPHT, l.chooser
+	ts = ts[:len(xs)]
+	for e, x := range xs {
+		t := ts[e]
+		lh := &localHist[x&mask]
+		li, gi := *lh&hmask, ghr&mask
+		lc, gc, cc := localPHT[li], globalPHT[gi], chooser[gi]
+		lt, gt := uint8(lc)>>1, uint8(gc)>>1
+		pred := lt ^ (lt^gt)&(uint8(cc)>>1)
+		misses += int(pred ^ t)
+		localPHT[li] = counterStep[counterIndex(lc, 1, t)]
+		globalPHT[gi] = counterStep[counterIndex(gc, 1, t)]
+		chooser[gi] = counterStep[counterIndex(cc, lt^gt, gt^t^1)]
+		*lh = (*lh<<1 | uint32(t)) & hmask
+		ghr = (ghr<<1 | uint32(t)) & mask
+	}
+	l.ghr = ghr
+	return misses
 }
 
 // Area sums the local history table, both pattern tables, the chooser and

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"context"
+	"slices"
 
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/par"
@@ -69,35 +70,116 @@ func (s customStepper) step(id int32, pc uint64, taken bool) bool {
 
 // RunAll drives every predictor over the packed trace in ONE pass,
 // equivalent to calling Run(p, tr.Events()) per predictor but reading
-// the trace once: per event the kernel loads the dense branch ID, the
-// PC and the packed outcome bit, then steps each predictor. Customized
-// architectures dispatch on branch IDs through a precomputed slot table
-// instead of a per-event map lookup. The inner loop allocates nothing;
-// the per-call setup cost is one stepper per predictor.
+// the trace once: the kernel decodes each event's PC index, branch ID
+// and outcome bit once per block of events, then advances every
+// predictor over the block. Gshare and LGC instances run through
+// concrete-typed table sweeps (Gshare.sweep, LGC.sweep); customized
+// architectures run on block tables where they can, else dispatch on
+// branch IDs through a precomputed slot table; any other Predictor is
+// stepped through its interface. Every instance is updated in place, so
+// it ends in exactly the state Run leaves it in; an instance may appear
+// in the batch only once. The inner loop allocates nothing; the per-call
+// setup cost is one stepper per interface-driven predictor.
 func RunAll(preds []Predictor, tr *tracestore.Packed) []Result {
 	res := make([]Result, len(preds))
-	steppers := make([]traceStepper, 0, len(preds))
-	idx := make([]int, 0, len(preds))
+	var k sweepBatch
+	var gIdx, lIdx, sIdx []int
 	for j, p := range preds {
-		if c, ok := p.(*Custom); ok {
-			if r, ok := runCustomBlocked(c, tr); ok {
+		switch q := p.(type) {
+		case *Gshare:
+			k.gshares, gIdx = append(k.gshares, q), append(gIdx, j)
+		case *LGC:
+			k.lgcs, lIdx = append(k.lgcs, q), append(lIdx, j)
+		case *Custom:
+			if r, ok := runCustomBlocked(q, tr); ok {
 				res[j] = r
-				continue
+			} else {
+				k.steppers, sIdx = append(k.steppers, newCustomStepper(q, tr)), append(sIdx, j)
 			}
-			steppers = append(steppers, newCustomStepper(c, tr))
-		} else {
-			steppers = append(steppers, genericStepper{p})
+		default:
+			k.steppers, sIdx = append(k.steppers, genericStepper{p}), append(sIdx, j)
 		}
-		idx = append(idx, j)
 	}
-	if len(steppers) > 0 {
-		tmp := make([]Result, len(steppers))
-		runAllInto(steppers, tr, tmp)
-		for k, j := range idx {
-			res[j] = tmp[k]
+	idx := slices.Concat(gIdx, lIdx, sIdx)
+	if len(idx) > 0 {
+		k.pcIndex = pcIndexOf(tr)
+		tmp := make([]Result, len(idx))
+		runAllInto(&k, tr, tmp)
+		for m, j := range idx {
+			res[j] = tmp[m]
 		}
 	}
 	return res
+}
+
+// sweepBatch is one RunAll batch split by how each member is driven:
+// the typed table sweeps first, then the interface steppers. pcIndex
+// maps a dense branch ID to the PC word index (pc >> 2) both table
+// predictors hash.
+type sweepBatch struct {
+	gshares  []*Gshare
+	lgcs     []*LGC
+	steppers []traceStepper
+	pcIndex  []uint32
+}
+
+// pcIndexOf maps each dense branch ID of the trace to its PC word index.
+func pcIndexOf(tr *tracestore.Packed) []uint32 {
+	x := make([]uint32, tr.NumStatics())
+	for id := range x {
+		x[id] = uint32(tr.PCOf(int32(id)) >> 2)
+	}
+	return x
+}
+
+// sweepBlock is the number of events decoded per block: large enough to
+// amortize each predictor's register loads, small enough for the block
+// buffers to live on the stack.
+const sweepBlock = 256
+
+// runAllInto is the allocation-free inner kernel of RunAll; tests guard
+// it with testing.AllocsPerRun. res holds one Result per batch member, in
+// gshares, lgcs, steppers order.
+func runAllInto(k *sweepBatch, tr *tracestore.Packed, res []Result) {
+	var (
+		ids [sweepBlock]int32
+		xs  [sweepBlock]uint32
+		ts  [sweepBlock]uint8
+	)
+	n := tr.Len()
+	words := tr.Outcomes().Words()
+	for lo := 0; lo < n; lo += sweepBlock {
+		m := min(sweepBlock, n-lo)
+		for e := 0; e < m; e++ {
+			i := lo + e
+			ids[e] = tr.IDAt(i)
+			xs[e] = k.pcIndex[ids[e]]
+			ts[e] = uint8(words[i>>6] >> uint(i&63) & 1)
+		}
+		r := res
+		for _, g := range k.gshares {
+			r[0].Misses += g.sweep(xs[:m], ts[:m])
+			r = r[1:]
+		}
+		for _, l := range k.lgcs {
+			r[0].Misses += l.sweep(xs[:m], ts[:m])
+			r = r[1:]
+		}
+		if len(k.steppers) > 0 {
+			for e := 0; e < m; e++ {
+				id := ids[e]
+				pc, taken := tr.PCOf(id), ts[e] != 0
+				for j, s := range k.steppers {
+					if s.step(id, pc, taken) {
+						r[j].Misses++
+					}
+				}
+			}
+		}
+	}
+	for j := range res {
+		res[j].Total += n
+	}
 }
 
 // runCustomBlocked simulates one Custom instance over the whole packed
@@ -177,23 +259,6 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 		c.base.Update(pc, taken)
 	}
 	return Result{Total: n, Misses: misses}, true
-}
-
-// runAllInto is the allocation-free inner kernel of RunAll; tests guard
-// it with testing.AllocsPerRun.
-func runAllInto(steppers []traceStepper, tr *tracestore.Packed, res []Result) {
-	n := tr.Len()
-	for i := 0; i < n; i++ {
-		id := tr.IDAt(i)
-		pc := tr.PCOf(id)
-		taken := tr.Taken(i)
-		for j, s := range steppers {
-			res[j].Total++
-			if s.step(id, pc, taken) {
-				res[j].Misses++
-			}
-		}
-	}
 }
 
 // RunCustomPrefixes simulates every prefix of one trained entry set —

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fsmpredict/internal/core"
@@ -189,7 +190,8 @@ func TestTrainCustomPackedMatchesOracle(t *testing.T) {
 }
 
 // TestRunAllInnerLoopAllocs guards the kernel's steady state: once the
-// steppers are built, a full pass over the trace allocates nothing.
+// batch is built, a full pass over the trace — typed gshare and LGC
+// sweeps plus interface steppers — allocates nothing.
 func TestRunAllInnerLoopAllocs(t *testing.T) {
 	train := benchEvents(t, "gsm", workload.Train, 8_000)
 	entries, err := TrainCustom(train, TrainOptions{MaxEntries: 3, Order: 5, MinExecutions: 64})
@@ -197,23 +199,89 @@ func TestRunAllInnerLoopAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	packed := tracestore.Pack(benchEvents(t, "gsm", workload.Test, 8_000))
-	preds := []Predictor{NewXScale(), NewGshare(10), NewLGC(8), NewCustom(entries)}
-	steppers := make([]traceStepper, len(preds))
-	for j, p := range preds {
-		if c, ok := p.(*Custom); ok {
-			steppers[j] = newCustomStepper(c, packed)
-		} else {
-			steppers[j] = genericStepper{p}
-		}
+	k := &sweepBatch{
+		gshares: []*Gshare{NewGshare(10), NewGshare(14)},
+		lgcs:    []*LGC{NewLGC(8), NewLGC(12)},
+		steppers: []traceStepper{
+			genericStepper{NewXScale()},
+			newCustomStepper(NewCustom(entries), packed),
+		},
+		pcIndex: pcIndexOf(packed),
 	}
-	res := make([]Result, len(preds))
+	res := make([]Result, len(k.gshares)+len(k.lgcs)+len(k.steppers))
 	if allocs := testing.AllocsPerRun(3, func() {
 		for i := range res {
 			res[i] = Result{}
 		}
-		runAllInto(steppers, packed, res)
+		runAllInto(k, packed, res)
 	}); allocs != 0 {
 		t.Fatalf("inner loop allocates %.1f objects per pass, want 0", allocs)
+	}
+}
+
+// TestRunAllTypedSweepState checks the typed table sweeps against Run
+// per instance, on results and on the state each instance is left in.
+// The batch mixes gshare and LGC instances pre-warmed on different
+// traces (so their history registers disagree with each other and with
+// the fresh ones) and interleaves them with XScale, PPM and Custom.
+func TestRunAllTypedSweepState(t *testing.T) {
+	warmA := benchEvents(t, "gsm", workload.Train, 6_000)
+	warmB := benchEvents(t, "vortex", workload.Train, 6_000)
+	test := benchEvents(t, "gsm", workload.Test, 12_000)
+	packed := tracestore.Pack(test)
+	entries, err := TrainCustom(warmA, TrainOptions{MaxEntries: 3, Order: 5, MinExecutions: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gshare := func(bits int, warm []trace.BranchEvent) func() Predictor {
+		return func() Predictor { g := NewGshare(bits); Run(g, warm); return g }
+	}
+	lgc := func(bits int, warm []trace.BranchEvent) func() Predictor {
+		return func() Predictor { l := NewLGC(bits); Run(l, warm); return l }
+	}
+	makers := []func() Predictor{
+		gshare(8, warmA),
+		func() Predictor { return NewXScale() },
+		lgc(6, warmB),
+		gshare(12, warmB),
+		func() Predictor { return NewPPM(6) },
+		gshare(8, nil),
+		lgc(10, warmA),
+		func() Predictor { return NewCustom(entries) },
+		lgc(6, nil),
+		gshare(16, warmA),
+	}
+	batch := make([]Predictor, len(makers))
+	oracle := make([]Predictor, len(makers))
+	for i, mk := range makers {
+		batch[i], oracle[i] = mk(), mk()
+	}
+	for pass := 0; pass < 2; pass++ {
+		got := RunAll(batch, packed)
+		for i, o := range oracle {
+			if want := Run(o, test); got[i] != want {
+				t.Errorf("pass %d %s: RunAll = %+v, Run = %+v", pass, o.Name(), got[i], want)
+			}
+		}
+	}
+	// Post-run state: the same predictions along a fixed probe, and for
+	// the typed sweeps, the same registers and tables.
+	probe := benchEvents(t, "g721", workload.Test, 2_000)
+	for i, o := range oracle {
+		switch o.(type) {
+		case *Gshare, *LGC:
+			if !reflect.DeepEqual(batch[i], o) {
+				t.Errorf("%s: state after RunAll differs from Run", o.Name())
+			}
+		}
+		for e, ev := range probe {
+			if batch[i].Predict(ev.PC) != o.Predict(ev.PC) {
+				t.Errorf("%s: probe event %d predicts differently", o.Name(), e)
+				break
+			}
+			batch[i].Update(ev.PC, ev.Taken)
+			o.Update(ev.PC, ev.Taken)
+		}
 	}
 }
 
@@ -381,6 +449,30 @@ func BenchmarkRunAllKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		RunAll(preds, packed)
 	}
+}
+
+// resultsSink keeps the benchmarked calls' results live.
+var resultsSink []Result
+
+// BenchmarkRunAllKernelFigure5Tables measures the Figure 5 table sweep
+// batch: the XScale baseline plus gshare and LGC at every table size of
+// experiments.GshareBits and experiments.LGCBits, one RunAll pass.
+func BenchmarkRunAllKernelFigure5Tables(b *testing.B) {
+	const n = 100_000
+	packed := tracestore.Pack(benchEvents(b, "gsm", workload.Test, n))
+	preds := []Predictor{NewXScale()}
+	for bits := 7; bits <= 16; bits++ {
+		preds = append(preds, NewGshare(bits))
+	}
+	for bits := 5; bits <= 14; bits++ {
+		preds = append(preds, NewLGC(bits))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resultsSink = RunAll(preds, packed)
+	}
+	b.ReportMetric(float64(n*len(preds))*float64(b.N)/b.Elapsed().Seconds(), "predictor-events/s")
 }
 
 // BenchmarkRunPerPredictor measures the pre-batching shape: one full

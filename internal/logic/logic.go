@@ -7,10 +7,11 @@
 //
 // Two engines are provided:
 //
-//   - Quine–McCluskey (MinimizeQM): exact prime-implicant generation
-//     followed by unate covering with essential-prime extraction, row and
-//     column dominance, and exact branch-and-bound on small residual
-//     tables (greedy beyond a size limit).
+//   - Quine–McCluskey (MinimizeQM, widths up to 12): exact prime-implicant
+//     generation from a dense implicant table over all 3^w cubes, followed
+//     by unate covering with essential-prime extraction and exact
+//     branch-and-bound on small residual tables (greedy beyond a size
+//     limit).
 //   - Espresso-style heuristic (MinimizeHeuristic): the classic
 //     EXPAND / IRREDUNDANT / REDUCE loop working directly on cubes, which
 //     scales to wider inputs without enumerating all primes.
@@ -138,14 +139,14 @@ func Verify(p Problem, cover []bitseq.Cube) error {
 }
 
 // Minimize picks an engine appropriate for the problem size: QM when the
-// combined on+dc set is small enough for prime enumeration, the heuristic
+// problem fits the implicant table (width at most 12), the heuristic
 // engine otherwise. This mirrors how Espresso is used in the paper: exact
 // quality on the small per-predictor tables, graceful degradation beyond.
 func Minimize(p Problem) ([]bitseq.Cube, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Width <= 12 && len(p.On)+len(p.DC) <= 4096 {
+	if p.Width <= maxQMWidth && len(p.On)+len(p.DC) <= 4096 {
 		qm, err := MinimizeQM(p)
 		if err != nil {
 			return nil, err
@@ -164,117 +165,123 @@ func Minimize(p Problem) ([]bitseq.Cube, error) {
 	return MinimizeHeuristic(p)
 }
 
-// MinimizeQM runs Quine–McCluskey prime generation over the on+dc set and
-// then solves the covering problem for the on-set.
+// MinimizeQM generates every prime implicant of the on+dc set and then
+// solves the covering problem for the on-set. It accepts widths up to
+// 12, the bound of the implicant table.
 func MinimizeQM(p Problem) ([]bitseq.Cube, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if p.Width > maxQMWidth {
+		return nil, fmt.Errorf("logic: QM width %d exceeds %d", p.Width, maxQMWidth)
+	}
 	if len(p.On) == 0 {
 		return nil, nil
 	}
-	primes := PrimeImplicants(p)
+	primes, err := PrimeImplicants(p)
+	if err != nil {
+		return nil, err
+	}
 	cover := solveCover(p.On, primes, p.Width)
 	bitseq.SortCubes(cover)
 	return cover, nil
 }
 
-// qmScratch holds the per-call working set of PrimeImplicants, pooled so
-// the designer's steady state stops allocating the tabular method's
-// level-by-level buffers.
-type qmScratch struct {
-	cur, next []bitseq.Cube
-	used      []bool
-}
+// maxQMWidth is the widest problem MinimizeQM accepts: its implicant
+// table holds one byte per cube, 3^12 bytes (~0.5 MB) at width 12.
+const maxQMWidth = 12
 
-var qmPool = sync.Pool{New: func() any { return new(qmScratch) }}
+// pow3[b] is the weight of variable b in a base-3 cube index.
+var pow3 = [maxQMWidth + 1]int{1, 3, 9, 27, 81, 243, 729, 2187, 6561, 19683, 59049, 177147, 531441}
 
-// sortDedupLevel orders one QM level by (care, value popcount, value) —
-// the grouping key of the tabular method — and drops duplicate cubes.
-func sortDedupLevel(cubes []bitseq.Cube) []bitseq.Cube {
-	sort.Slice(cubes, func(i, j int) bool {
-		a, b := cubes[i], cubes[j]
-		if a.Care != b.Care {
-			return a.Care < b.Care
-		}
-		pa, pb := bits.OnesCount32(a.Value), bits.OnesCount32(b.Value)
-		if pa != pb {
-			return pa < pb
-		}
-		return a.Value < b.Value
-	})
-	out := cubes[:0]
-	for i, c := range cubes {
-		if i == 0 || c.Value != cubes[i-1].Value || c.Care != cubes[i-1].Care {
-			out = append(out, c)
+// implPool recycles implicant tables across PrimeImplicants calls, so the
+// designer's steady state does not allocate them.
+var implPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// PrimeImplicants generates all prime implicants of the on+dc set, in
+// SortCubes order, for widths 1..12. Every minterm must lie within the
+// width, as Validate checks.
+//
+// It fills a dense implicant table over all 3^w cubes. A cube's index
+// is base 3, digit b being 0 or 1 for a literal on variable b and 2 for
+// a free variable, so both halves of a cube on any free variable have
+// smaller indexes. A minterm is an implicant when it is in the on or dc
+// set; a cube with a free variable is one exactly when both of its
+// halves on its lowest free variable are. A prime is an implicant none
+// of whose single-literal expansions is an implicant. The prime set is
+// unique, so this returns the same cubes as the tabular Quine–McCluskey
+// method (kept in the tests as the reference), at O(w·3^w) cost
+// independent of the on+dc count.
+func PrimeImplicants(p Problem) ([]bitseq.Cube, error) {
+	w := p.Width
+	if w < 1 || w > maxQMWidth {
+		return nil, fmt.Errorf("logic: prime generation width %d out of range [1,%d]", w, maxQMWidth)
+	}
+	n := pow3[w]
+	buf := implPool.Get().(*[]byte)
+	if cap(*buf) < n {
+		*buf = make([]byte, pow3[maxQMWidth])
+	}
+	impl := (*buf)[:n]
+	clear(impl)
+	for _, set := range [2][]uint32{p.On, p.DC} {
+		for _, m := range set {
+			i := 0
+			for v := m; v != 0; v &= v - 1 {
+				i += pow3[bits.TrailingZeros32(v)]
+			}
+			impl[i] = 1
 		}
 	}
-	return out
-}
 
-// PrimeImplicants generates all prime implicants of the on+dc set using
-// iterated pairwise combination (the tabular Quine–McCluskey method).
-// Each level is a sorted, deduplicated slice; cubes sharing a care mask
-// and value popcount form a contiguous run, and a run's only plausible
-// combine partners are the next run when it has the same care mask and
-// popcount one higher.
-func PrimeImplicants(p Problem) []bitseq.Cube {
-	s := qmPool.Get().(*qmScratch)
-	cur := s.cur[:0]
-	for _, m := range p.On {
-		cur = append(cur, bitseq.Minterm(m, p.Width))
+	// Both passes walk the indexes in order with an odometer over the
+	// (value, care) pair; incrementing digit b steps it 0 → 1 → 2 → 0,
+	// i.e. literal 0, literal 1, free.
+	full := uint32(1)<<uint(w) - 1
+	step := func(value, care uint32) (uint32, uint32) {
+		for b := uint32(1); b <= full; b <<= 1 {
+			switch {
+			case care&b != 0 && value&b == 0:
+				return value | b, care
+			case value&b != 0:
+				return value &^ b, care &^ b
+			}
+			care |= b // digit 2 wraps to 0 and carries
+		}
+		return value, care
 	}
-	for _, m := range p.DC {
-		cur = append(cur, bitseq.Minterm(m, p.Width))
+	value, care := uint32(0), full
+	for i := 0; i < n; i++ {
+		if free := ^care & full; free != 0 {
+			d := pow3[bits.TrailingZeros32(free)]
+			impl[i] = impl[i-2*d] & impl[i-d]
+		}
+		value, care = step(value, care)
 	}
 
 	var primes []bitseq.Cube
-	next := s.next[:0]
-	for len(cur) > 0 {
-		cur = sortDedupLevel(cur)
-		used := s.used[:0]
-		for range cur {
-			used = append(used, false)
+	value, care = 0, full
+	for i := 0; i < n; i++ {
+		if impl[i] != 0 && isPrime(impl, i, value, care) {
+			primes = append(primes, bitseq.Cube{Value: value, Care: care, Width: w})
 		}
-		next = next[:0]
-		// Walk the (care, pop) runs; run = cur[start:end).
-		for start := 0; start < len(cur); {
-			care, pop := cur[start].Care, bits.OnesCount32(cur[start].Value)
-			end := start + 1
-			for end < len(cur) && cur[end].Care == care && bits.OnesCount32(cur[end].Value) == pop {
-				end++
-			}
-			// Partner run: cubes with the same care mask and one more set
-			// bit, which the ordering places immediately after.
-			pEnd := end
-			if end < len(cur) && cur[end].Care == care && bits.OnesCount32(cur[end].Value) == pop+1 {
-				pEnd = end + 1
-				for pEnd < len(cur) && cur[pEnd].Care == care && bits.OnesCount32(cur[pEnd].Value) == pop+1 {
-					pEnd++
-				}
-			}
-			for i := start; i < end; i++ {
-				for j := end; j < pEnd; j++ {
-					if m, ok := cur[i].Combine(cur[j]); ok {
-						used[i], used[j] = true, true
-						next = append(next, m)
-					}
-				}
-			}
-			start = end
-		}
-		for i, c := range cur {
-			if !used[i] {
-				primes = append(primes, c)
-			}
-		}
-		s.used = used
-		cur, next = next, cur[:0]
+		value, care = step(value, care)
 	}
+	implPool.Put(buf)
 	bitseq.SortCubes(primes)
-	s.cur, s.next = cur[:0], next[:0]
-	qmPool.Put(s)
-	return primes
+	return primes, nil
+}
+
+// isPrime reports whether no single-literal expansion of implicant i (a
+// cared variable's digit raised to 2) is also an implicant.
+func isPrime(impl []byte, i int, value, care uint32) bool {
+	for c := care; c != 0; c &= c - 1 {
+		b := bits.TrailingZeros32(c)
+		if impl[i+int(2-value>>uint(b)&1)*pow3[b]] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // coverLimit bounds the branch-and-bound search; above it the covering
@@ -447,15 +454,7 @@ func exactCover(resM, resP []int, mintermsOf [][]int, already []bool, primes []b
 			return
 		}
 		if len(picked)+1 >= bestN {
-			// Even one more pick cannot beat the incumbent unless it
-			// finishes the cover; try only finishing picks.
-			for i, m := range masks {
-				if cov|m == full && len(picked)+1 < bestN {
-					bestN = len(picked) + 1
-					best = append(append([]int(nil), picked...), resP[i])
-					return
-				}
-			}
+			// Even a finishing pick would only tie the incumbent.
 			return
 		}
 		// Branch on the uncovered minterm with fewest candidate primes.

@@ -285,7 +285,7 @@ func TestPrimeImplicantsAreMaximal(t *testing.T) {
 		for _, m := range p.DC {
 			allowed[m] = true
 		}
-		primes := PrimeImplicants(p)
+		primes := mustPrimes(t, p)
 		for _, c := range primes {
 			// Valid: covers only allowed minterms.
 			for _, m := range c.Minterms() {
