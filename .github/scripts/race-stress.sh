@@ -38,7 +38,7 @@ group() {
 }
 
 group "parallel fan-out + trace store" \
-	'TestMapStress|TestMapContextCancel|ParallelDeterministic|TestStoreSingleflightStress|TestSharedStoreConcurrentMixedKinds' \
+	'TestMapStress|TestMapContextCancel|ParallelDeterministic|TestStoreSingleflightStress|TestSharedStoreConcurrentMixedKinds|TestTrainCustomPackedMemo|TestDeriveSingleflight' \
 	./internal/par/ ./internal/bpred/ ./internal/experiments/ ./internal/tracestore/
 group "concurrent fast-path designs" \
 	'TestConcurrentFastPathDesignsRace|TestFastPathEqualsPipeline' \

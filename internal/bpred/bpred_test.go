@@ -1,12 +1,15 @@
 package bpred
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/trace"
+	"fsmpredict/internal/tracestore"
 	"fsmpredict/internal/workload"
 )
 
@@ -233,11 +236,77 @@ func TestTrainCustomImprovesCorrelatedBenchmark(t *testing.T) {
 }
 
 func TestTrainCustomValidation(t *testing.T) {
-	if _, err := TrainCustom(nil, TrainOptions{MaxEntries: 0, Order: 9}); err == nil {
-		t.Error("expected MaxEntries error")
+	packed := tracestore.Pack(alternating(0xb0, 200))
+	cases := []struct {
+		name string
+		opt  TrainOptions
+	}{
+		{"zero MaxEntries", TrainOptions{MaxEntries: 0, Order: 9}},
+		{"zero Order", TrainOptions{MaxEntries: 1, Order: 0}},
+		{"NaN DontCareBudget", TrainOptions{MaxEntries: 1, Order: 3, DontCareBudget: math.NaN()}},
+		{"+Inf DontCareBudget", TrainOptions{MaxEntries: 1, Order: 3, DontCareBudget: math.Inf(1)}},
+		{"-Inf DontCareBudget", TrainOptions{MaxEntries: 1, Order: 3, DontCareBudget: math.Inf(-1)}},
 	}
-	if _, err := TrainCustom(nil, TrainOptions{MaxEntries: 1, Order: 0}); err == nil {
-		t.Error("expected Order error")
+	for _, c := range cases {
+		if _, err := TrainCustom(nil, c.opt); err == nil {
+			t.Errorf("%s: TrainCustom accepted %+v", c.name, c.opt)
+		}
+		if _, err := TrainCustomPacked(packed, c.opt); err == nil {
+			t.Errorf("%s: TrainCustomPacked accepted %+v", c.name, c.opt)
+		}
+	}
+	if _, err := TrainCustomPacked(packed, TrainOptions{MaxEntries: 1, Order: 3, DontCareBudget: 0.05}); err != nil {
+		t.Errorf("finite DontCareBudget rejected: %v", err)
+	}
+}
+
+// TestTrainCustomPackedMemo pins the per-trace design memo: a call that
+// differs only in Workers shares the first call's entries, different
+// options design afresh, and a caller overwriting its returned slice
+// cannot change what the next caller gets.
+func TestTrainCustomPackedMemo(t *testing.T) {
+	prog, _ := workload.ByName("vortex")
+	packed := tracestore.Pack(prog.Generate(workload.Train, 40_000))
+	opt := TrainOptions{MaxEntries: 6, Order: 7, MinExecutions: 64, Workers: 1}
+	first, err := TrainCustomPacked(packed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) < 2 {
+		t.Fatalf("need at least two entries, got %d", len(first))
+	}
+	want := slices.Clone(first)
+
+	opt.Workers = 3
+	again, err := TrainCustomPacked(packed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again, want) {
+		t.Error("a call differing only in Workers did not return the memoized entries")
+	}
+
+	other := opt
+	other.Order = 6
+	fresh, err := TrainCustomPacked(packed, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range fresh {
+		if slices.Contains(want, e) {
+			t.Errorf("Order %d entry %d is a memoized Order %d entry", other.Order, i, opt.Order)
+		}
+	}
+
+	for i := range again {
+		again[i] = nil
+	}
+	after, err := TrainCustomPacked(packed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, want) {
+		t.Error("overwriting a returned slice changed the next call's entries")
 	}
 }
 

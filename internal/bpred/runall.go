@@ -275,10 +275,9 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 // replaces the O(len(entries)²) runner-events of simulating each prefix
 // separately (the Figure 5 area sweep) with O(len(entries)) per event.
 //
-// The replay itself runs on the blocked superstep kernel when every
-// entry machine has a block table (see RunCustomPrefixesParallel);
-// otherwise — a machine over the block-table bound — it falls back to
-// the scalar single-pass sweep.
+// Each entry's replay runs on its block table, or — a machine over the
+// block-table bound — on the scalar sampled walk (see
+// RunCustomPrefixesParallel).
 func RunCustomPrefixes(entries []*CustomEntry, tr *tracestore.Packed) []Result {
 	return RunCustomPrefixesParallel(entries, tr, 1)
 }
@@ -297,13 +296,6 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 	if n == 0 {
 		return res
 	}
-	tabs := make([]*fsm.BlockTable, n)
-	for i, e := range entries {
-		if tabs[i] = fsm.BlockTableFor(e.Machine); tabs[i] == nil {
-			return runCustomPrefixesScalar(entries, tr)
-		}
-	}
-
 	// slots[id] lists, in ascending order, the entry indexes whose tag
 	// is that static branch's PC; prefix k predicts with the last index
 	// below k.
@@ -342,19 +334,27 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 	// every runner advances on the whole global stream from its start
 	// state and is scored at its tag's positions. Entries whose tag
 	// never occurs contribute nothing (and, under update-all, their
-	// state is invisible), so they are skipped outright.
+	// state is invisible), so they are skipped outright. An entry whose
+	// machine is over the block-table bound takes the scalar sampled
+	// walk, bit-identical to the table walk; the others keep theirs.
 	words := tr.Outcomes().Words()
 	entryMiss, _ := par.Map(context.Background(), workers, n, func(i int) (int, error) {
 		id, ok := tr.IDOf(entries[i].Tag)
 		if !ok {
 			return 0, nil
 		}
-		m, _ := tabs[i].RunSampled(tabs[i].StartState(), words, events, tr.SubOf(id).Pos, tr.SpanIndex())
-		return m, nil
+		pos := tr.SubOf(id).Pos
+		m := entries[i].Machine
+		if t := fsm.BlockTableFor(m); t != nil {
+			miss, _ := t.RunSampled(t.StartState(), words, events, pos, tr.SpanIndex())
+			return miss, nil
+		}
+		miss, _ := m.RunSampledScalar(m.Start, words, events, pos)
+		return miss, nil
 	})
 
-	// Charge the aggregated misses through the same difference array
-	// as the scalar sweep: per branch, the base covers prefixes up to
+	// Charge the aggregated misses through a difference array over
+	// prefix lengths: per branch, the base covers prefixes up to
 	// the first matching entry, and entry j covers prefixes from j+1
 	// until the next matching entry takes over.
 	diff := make([]int64, n+1)
@@ -379,77 +379,6 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 			charge(j+1, hi, entryMiss[j])
 		}
 	}
-	var running int64
-	for k := 0; k < n; k++ {
-		running += diff[k]
-		res[k] = Result{Total: events, Misses: allMisses + int(running)}
-	}
-	return res
-}
-
-// runCustomPrefixesScalar is the bit-at-a-time prefix sweep, the
-// fallback for machines over the block-table bound.
-func runCustomPrefixesScalar(entries []*CustomEntry, tr *tracestore.Packed) []Result {
-	n := len(entries)
-	res := make([]Result, n)
-	if n == 0 {
-		return res
-	}
-	base := NewXScale()
-	runners := make([]*fsm.Runner, n)
-	for i, e := range entries {
-		runners[i] = e.Machine.NewRunner()
-	}
-	// slots[id] lists, in ascending order, the entry indexes whose tag is
-	// that static branch's PC; prefix k matches the last index below k.
-	byTag := make(map[uint64][]int32, n)
-	for i, e := range entries {
-		byTag[e.Tag] = append(byTag[e.Tag], int32(i))
-	}
-	slots := make([][]int32, tr.NumStatics())
-	for id := range slots {
-		slots[id] = byTag[tr.PCOf(int32(id))]
-	}
-
-	// diff[k-1]..diff[hi-1] bracket miss charges for prefix lengths
-	// [lo, hi]; allMisses counts events every prefix misses the same way
-	// (no matching entry at any length, so the base predicts for all).
-	diff := make([]int64, n+1)
-	charge := func(lo, hi int32, miss bool) {
-		if miss && lo <= hi {
-			diff[lo-1]++
-			diff[hi]--
-		}
-	}
-	allMisses := 0
-	events := tr.Len()
-	for i := 0; i < events; i++ {
-		id := tr.IDAt(i)
-		pc := tr.PCOf(id)
-		taken := tr.Taken(i)
-		list := slots[id]
-		if len(list) == 0 {
-			if base.Predict(pc) != taken {
-				allMisses++
-			}
-		} else {
-			if first := list[0]; first > 0 {
-				charge(1, first, base.Predict(pc) != taken)
-			}
-			for m, j := range list {
-				hi := int32(n)
-				if m+1 < len(list) {
-					hi = list[m+1]
-				}
-				charge(j+1, hi, runners[j].Predict() != taken)
-			}
-		}
-		for _, r := range runners {
-			r.Update(taken)
-		}
-		base.Update(pc, taken)
-	}
-
 	var running int64
 	for k := 0; k < n; k++ {
 		running += diff[k]

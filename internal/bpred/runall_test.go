@@ -337,15 +337,7 @@ func TestRunAllMatchesRunKernelOff(t *testing.T) {
 	}
 	oversized := make([]*CustomEntry, len(entries))
 	for i, e := range entries {
-		m := e.Machine.Clone()
-		for s := m.NumStates(); s <= 256; s++ {
-			m.Output = append(m.Output, false)
-			m.Next = append(m.Next, [2]int{s, s})
-		}
-		if fsm.BlockTableFor(m) != nil {
-			t.Fatalf("entry %d: %d-state machine got a block table", i, m.NumStates())
-		}
-		oversized[i] = &CustomEntry{Tag: e.Tag, Machine: m}
+		oversized[i] = &CustomEntry{Tag: e.Tag, Machine: padPastBound(t, e.Machine)}
 	}
 	for _, matchedOnly := range []bool{false, true} {
 		c := NewCustom(oversized)
@@ -360,7 +352,7 @@ func TestRunAllMatchesRunKernelOff(t *testing.T) {
 	prefixes := RunCustomPrefixes(oversized, packed)
 	for k := 1; k <= len(entries); k++ {
 		if want := Run(NewCustom(entries[:k]), test); prefixes[k-1] != want {
-			t.Errorf("prefix %d: scalar sweep %+v, Run %+v", k, prefixes[k-1], want)
+			t.Errorf("prefix %d: sweep %+v, Run %+v", k, prefixes[k-1], want)
 		}
 	}
 }
@@ -395,9 +387,9 @@ func TestRunAllCustomStateful(t *testing.T) {
 
 // TestRunCustomPrefixesParallelMatches checks the sharded prefix sweep is
 // deterministic and worker-count independent: every worker setting must
-// reproduce the scalar single-pass sweep exactly. Running it under
-// -race also stress-tests the shared block-table cache, which all
-// workers hit concurrently.
+// reproduce, for every prefix length, that prefix's Custom instance run
+// over the events. Running it under -race also stress-tests the shared
+// block-table cache, which all workers hit concurrently.
 func TestRunCustomPrefixesParallelMatches(t *testing.T) {
 	train := benchEvents(t, "vortex", workload.Train, 20_000)
 	test := benchEvents(t, "vortex", workload.Test, 20_000)
@@ -409,7 +401,10 @@ func TestRunCustomPrefixesParallelMatches(t *testing.T) {
 		entries = append(entries, &CustomEntry{Tag: entries[0].Tag, Machine: entries[1].Machine})
 	}
 	packed := tracestore.Pack(test)
-	want := runCustomPrefixesScalar(entries, packed)
+	want := make([]Result, len(entries))
+	for k := range want {
+		want[k] = Run(NewCustom(entries[:k+1]), test)
+	}
 	for _, workers := range []int{0, 1, 2, 7} {
 		got := RunCustomPrefixesParallel(entries, packed, workers)
 		if len(got) != len(want) {
@@ -417,8 +412,88 @@ func TestRunCustomPrefixesParallelMatches(t *testing.T) {
 		}
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("workers=%d prefix %d: blocked %+v, scalar %+v", workers, k, got[k], want[k])
+				t.Fatalf("workers=%d prefix %d: sweep %+v, Run %+v", workers, k+1, got[k], want[k])
 			}
+		}
+	}
+}
+
+// padPastBound returns a copy of m grown past the block-table state
+// bound with unreachable self-looping states, so it simulates exactly
+// like m but takes the scalar walks.
+func padPastBound(t *testing.T, m *fsm.Machine) *fsm.Machine {
+	t.Helper()
+	p := m.Clone()
+	for s := p.NumStates(); s <= 256; s++ {
+		p.Output = append(p.Output, false)
+		p.Next = append(p.Next, [2]int{s, s})
+	}
+	if fsm.BlockTableFor(p) != nil {
+		t.Fatalf("%d-state machine got a block table", p.NumStates())
+	}
+	return p
+}
+
+// TestRunCustomPrefixesMixedStateBound checks the prefix sweep's
+// per-entry fallback: an entry set mixing table-backed machines with
+// machines over the block-table bound — including a shadowed tag and a
+// tag no branch has — must reproduce, for every prefix length, that
+// prefix's Custom instance run over the events, on both inputs. It also
+// pins that the paper grid takes this path: the order-9 designs for gs
+// and vortex at the paper's trace length include a machine over 256
+// states.
+func TestRunCustomPrefixesMixedStateBound(t *testing.T) {
+	train := benchEvents(t, "vortex", workload.Train, 20_000)
+	test := benchEvents(t, "vortex", workload.Test, 20_000)
+	entries, err := TrainCustom(train, TrainOptions{MaxEntries: 5, Order: 5, MinExecutions: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) < 4 {
+		t.Fatalf("need at least four entries, got %d", len(entries))
+	}
+	// Pad every other entry past the bound, shadow entry 0's branch with a
+	// padded machine, and add an absent tag on a padded machine.
+	mixed := make([]*CustomEntry, 0, len(entries)+2)
+	for i, e := range entries {
+		if i%2 == 1 {
+			e = &CustomEntry{Tag: e.Tag, Machine: padPastBound(t, e.Machine)}
+		}
+		mixed = append(mixed, e)
+	}
+	mixed = append(mixed,
+		&CustomEntry{Tag: entries[0].Tag, Machine: padPastBound(t, entries[2].Machine)},
+		&CustomEntry{Tag: 0xdead0000, Machine: padPastBound(t, entries[1].Machine)},
+	)
+	for name, events := range map[string][]trace.BranchEvent{"train": train, "test": test} {
+		packed := tracestore.Pack(events)
+		for _, workers := range []int{1, 3} {
+			got := RunCustomPrefixesParallel(mixed, packed, workers)
+			if len(got) != len(mixed) {
+				t.Fatalf("%s workers=%d: %d results, want %d", name, workers, len(got), len(mixed))
+			}
+			for k := 1; k <= len(mixed); k++ {
+				if want := Run(NewCustom(mixed[:k]), events); got[k-1] != want {
+					t.Errorf("%s workers=%d prefix %d: sweep %+v, Run %+v", name, workers, k, got[k-1], want)
+				}
+			}
+		}
+	}
+
+	// The paper grid: experiments.DefaultConfig's trace length and the
+	// §7.3 training options.
+	for _, program := range []string{"gs", "vortex"} {
+		packed := tracestore.Pack(benchEvents(t, program, workload.Train, 250_000))
+		entries, err := TrainCustomPacked(packed, DefaultTrainOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest := 0
+		for _, e := range entries {
+			largest = max(largest, e.Machine.NumStates())
+		}
+		if largest <= 256 {
+			t.Errorf("%s: largest order-9 machine has %d states; the paper grid no longer exercises the scalar fallback", program, largest)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bpred
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -138,18 +139,43 @@ func (opt TrainOptions) validate() error {
 	if opt.Order < 1 {
 		return fmt.Errorf("bpred: Order %d must be >= 1", opt.Order)
 	}
+	if math.IsNaN(opt.DontCareBudget) || math.IsInf(opt.DontCareBudget, 0) {
+		return fmt.Errorf("bpred: DontCareBudget %v must be finite", opt.DontCareBudget)
+	}
 	return nil
 }
+
+// trainKey addresses a trained entry set among a trace's derived
+// artifacts: the options with Workers zeroed, since the entries are
+// bit-identical for any worker count.
+type trainKey struct{ opt TrainOptions }
 
 // TrainCustomPacked is TrainCustom on the packed substrate: ranking runs
 // over dense ID tallies, and each chosen branch's global-history Markov
 // model is built from its precomputed substream (positions plus two-word
 // history windows) instead of a scan of the full trace per model. The
 // entries are bit-identical to the event-slice path.
+//
+// The entry set is memoized on the trace (tracestore.Packed.Derive), so
+// every caller training the same trace with the same options — Figures 4
+// and 5 both train the suite — designs it once. Each call returns a
+// fresh slice over the shared, immutable entries.
 func TrainCustomPacked(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	key := trainKey{opt}
+	key.opt.Workers = 0
+	v, err := tr.Derive(key, func() (any, error) { return trainCustom(tr, opt) })
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(v.([]*CustomEntry)), nil
+}
+
+// trainCustom is TrainCustomPacked's uncached body: rank, profile the
+// chosen branches, and design one machine per branch.
+func trainCustom(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error) {
 	ranked := RankByMissesPacked(tr)
 	var chosen []Ranked
 	var ids []int32

@@ -59,11 +59,22 @@ func Figure2(program string, cfg Config) (*Figure2Result, error) {
 		}
 	}
 	// Profile every program's training input once at the maximum history
-	// length and cross-train the whole suite in one pass.
-	suite := make(map[string]*markov.Model)
-	for _, p := range workload.LoadSuite() {
-		streams := tracestore.Shared.ConfStreams(p, workload.Train, cfg.LoadEvents, cfg.TableLog2)
-		suite[p.Name] = confidence.PerEntryModel(streams, maxH)
+	// length and cross-train the whole suite in one pass. The streams are
+	// fetched concurrently, and each profile is memoized on its streams,
+	// so the five panels of the full figure profile each program once.
+	ctx := context.Background()
+	peers := workload.LoadSuite()
+	models, err := par.MapSlice(ctx, cfg.Workers, peers,
+		func(_ int, p *workload.LoadProgram) (*markov.Model, error) {
+			streams := tracestore.Shared.ConfStreams(p, workload.Train, cfg.LoadEvents, cfg.TableLog2)
+			return perEntryModel(streams, maxH)
+		})
+	if err != nil {
+		return nil, err
+	}
+	suite := make(map[string]*markov.Model, len(peers))
+	for i, p := range peers {
+		suite[p.Name] = models[i]
 	}
 	if len(suite) < 2 {
 		return nil, fmt.Errorf("experiments: no other programs to cross-train on")
@@ -77,7 +88,7 @@ func Figure2(program string, cfg Config) (*Figure2Result, error) {
 		return nil, fmt.Errorf("experiments: %s is not in the load suite", program)
 	}
 	// Each history length folds the wide model down and sweeps; fan out.
-	curves, err := par.MapSlice(context.Background(), cfg.Workers, cfg.Histories,
+	curves, err := par.MapSlice(ctx, cfg.Workers, cfg.Histories,
 		func(_ int, h int) ([]confidence.FSMPoint, error) {
 			model, err := wide.FoldTo(h)
 			if err != nil {
@@ -96,6 +107,23 @@ func Figure2(program string, cfg Config) (*Figure2Result, error) {
 		res.Curves[h] = curves[i]
 	}
 	return res, nil
+}
+
+// profileKey addresses a per-entry correctness model among a
+// ConfStreams' derived artifacts.
+type profileKey struct{ order int }
+
+// perEntryModel is confidence.PerEntryModel memoized on the streams.
+// The model is shared: core.CrossTrain reads its inputs without
+// mutating them, and nothing else here touches it.
+func perEntryModel(cs *tracestore.ConfStreams, order int) (*markov.Model, error) {
+	v, err := cs.Derive(profileKey{order}, func() (any, error) {
+		return confidence.PerEntryModel(cs, order), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*markov.Model), nil
 }
 
 // SUDFrontier returns the Pareto-optimal accuracy/coverage frontier of

@@ -48,9 +48,21 @@ func Figure4(cfg Config, sampleFrac float64) (*Figure4Result, error) {
 	if sampleFrac <= 0 || sampleFrac > 1 {
 		sampleFrac = 0.1
 	}
+	// Materialize the training traces concurrently (the store's
+	// singleflight makes concurrent fetches safe), then train program by
+	// program; each training fans its designs out across the workers.
+	ctx := context.Background()
+	progs := workload.BranchSuite()
+	traces, err := par.MapSlice(ctx, cfg.Workers, progs,
+		func(_ int, prog *workload.Program) (*tracestore.Packed, error) {
+			return tracestore.Shared.Branches(prog, workload.Train, cfg.BranchEvents), nil
+		})
+	if err != nil {
+		return nil, err
+	}
 	var all []sampledEntry
-	for _, prog := range workload.BranchSuite() {
-		packed := tracestore.Shared.Branches(prog, workload.Train, cfg.BranchEvents)
+	for i, prog := range progs {
+		packed := traces[i]
 		entries, err := bpred.TrainCustomPacked(packed, bpred.TrainOptions{
 			MaxEntries:    cfg.MaxCustom,
 			Order:         cfg.Order,
@@ -82,7 +94,7 @@ func Figure4(cfg Config, sampleFrac float64) (*Figure4Result, error) {
 		// Sampling left too few points; use everything.
 		sampled = all
 	}
-	points, err := par.MapSlice(context.Background(), cfg.Workers, sampled,
+	points, err := par.MapSlice(ctx, cfg.Workers, sampled,
 		func(_ int, e sampledEntry) (stats.Point, error) {
 			area, err := vhdl.EstimateArea(e.entry.Machine)
 			if err != nil {

@@ -132,29 +132,29 @@ func Figure5(program string, cfg Config, fsmArea func(states int) float64) (*Fig
 	return res, nil
 }
 
-// runAllChunked batches predictors through bpred.RunAll in contiguous
-// chunks, one per worker: within a chunk the trace is read once for all
-// its predictors, across chunks the passes run concurrently. Predictors
-// are independent, so the results are identical for any worker count.
+// runAllChunked batches predictors through bpred.RunAll in chunks, one
+// per worker: within a chunk the trace is read once for all its
+// predictors, across chunks the passes run concurrently. Predictors are
+// dealt round-robin — worker c gets c, c+w, c+2w, … — so each size sweep
+// (gshare and LGC costs grow with the table) spreads over every worker
+// instead of landing whole on one. Predictors are independent, so the
+// results are identical for any worker count.
 func runAllChunked(ctx context.Context, workers int, preds []bpred.Predictor, tr *tracestore.Packed) ([]bpred.Result, error) {
 	if len(preds) == 0 {
 		return nil, nil
 	}
 	w := par.Workers(workers, len(preds))
-	type span struct{ lo, hi int }
-	chunks := make([]span, 0, w)
-	for i := 0; i < w; i++ {
-		lo, hi := i*len(preds)/w, (i+1)*len(preds)/w
-		if lo < hi {
-			chunks = append(chunks, span{lo, hi})
-		}
-	}
 	out := make([]bpred.Result, len(preds))
-	_, err := par.MapSlice(ctx, len(chunks), chunks,
-		func(_ int, c span) (struct{}, error) {
-			copy(out[c.lo:c.hi], bpred.RunAll(preds[c.lo:c.hi], tr))
-			return struct{}{}, nil
-		})
+	_, err := par.Map(ctx, w, w, func(c int) (struct{}, error) {
+		var chunk []bpred.Predictor
+		for j := c; j < len(preds); j += w {
+			chunk = append(chunk, preds[j])
+		}
+		for k, r := range bpred.RunAll(chunk, tr) {
+			out[c+k*w] = r
+		}
+		return struct{}{}, nil
+	})
 	return out, err
 }
 

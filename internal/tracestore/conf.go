@@ -39,6 +39,8 @@ type ConfStreams struct {
 	// driving the global (§6.3-literal) evaluation protocol.
 	Valid   *bitseq.Bits
 	Correct *bitseq.Bits
+
+	derived // artifacts computed from these streams (derive.go)
 }
 
 // Loads returns the number of load events the streams were built from.

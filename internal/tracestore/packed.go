@@ -18,7 +18,9 @@
 //     duplicating it.
 //
 // Packed traces and cached event slices are immutable after
-// construction; readers share them freely without copying.
+// construction; readers share them freely without copying. Artifacts
+// computed from a trace (Packed.Derive, ConfStreams.Derive) are memoized
+// on it and share its lifetime.
 package tracestore
 
 import (
@@ -54,6 +56,8 @@ type Packed struct {
 
 	spanOnce sync.Once
 	spanIdx  []bitseq.Run // homogeneous-byte run index of outcomes
+
+	derived // artifacts computed from this trace (derive.go)
 }
 
 // Pack converts an event slice into the packed form. Static branches are
