@@ -4,68 +4,24 @@ import (
 	"context"
 	"slices"
 
-	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/par"
 	"fsmpredict/internal/tracestore"
 )
 
 // traceStepper is one predictor bound to a packed trace for the batched
-// kernel: step consumes one event (given both the dense branch ID and
-// the PC) and reports whether the prediction missed.
+// kernel: step consumes one event and reports whether the prediction
+// missed.
 type traceStepper interface {
-	step(id int32, pc uint64, taken bool) bool
+	step(pc uint64, taken bool) bool
 }
 
 // genericStepper drives any Predictor through its public interface.
 type genericStepper struct{ p Predictor }
 
-func (s genericStepper) step(_ int32, pc uint64, taken bool) bool {
+func (s genericStepper) step(pc uint64, taken bool) bool {
 	miss := s.p.Predict(pc) != taken
 	s.p.Update(pc, taken)
 	return miss
-}
-
-// customStepper is the branch-ID dispatch path for the customized
-// architecture: the per-trace slot table replaces the byTag map lookup
-// the AoS path performs on every event.
-type customStepper struct {
-	c *Custom
-	// slot maps dense branch ID to the custom entry index, -1 for
-	// branches with no custom FSM.
-	slot []int32
-}
-
-func newCustomStepper(c *Custom, tr *tracestore.Packed) customStepper {
-	slot := make([]int32, tr.NumStatics())
-	for id := range slot {
-		slot[id] = -1
-		if i, ok := c.byTag[tr.PCOf(int32(id))]; ok {
-			slot[id] = int32(i)
-		}
-	}
-	return customStepper{c: c, slot: slot}
-}
-
-func (s customStepper) step(id int32, pc uint64, taken bool) bool {
-	c := s.c
-	i := s.slot[id]
-	var pred bool
-	if i >= 0 {
-		pred = c.runners[i].Predict()
-	} else {
-		pred = c.base.Predict(pc)
-	}
-	if c.UpdateMatchedOnly {
-		if i >= 0 {
-			c.runners[i].Update(taken)
-		}
-	} else {
-		for _, r := range c.runners {
-			r.Update(taken)
-		}
-	}
-	c.base.Update(pc, taken)
-	return pred != taken
 }
 
 // RunAll drives every predictor over the packed trace in ONE pass,
@@ -74,12 +30,12 @@ func (s customStepper) step(id int32, pc uint64, taken bool) bool {
 // and outcome bit once per block of events, then advances every
 // predictor over the block. Gshare and LGC instances run through
 // concrete-typed table sweeps (Gshare.sweep, LGC.sweep); customized
-// architectures run on block tables where they can, else dispatch on
-// branch IDs through a precomputed slot table; any other Predictor is
-// stepped through its interface. Every instance is updated in place, so
-// it ends in exactly the state Run leaves it in; an instance may appear
-// in the batch only once. The inner loop allocates nothing; the per-call
-// setup cost is one stepper per interface-driven predictor.
+// architectures replay each entry's machine over the packed stream
+// (runCustomBlocked); any other Predictor is stepped through its
+// interface. Every instance is updated in place, so it ends in exactly
+// the state Run leaves it in; an instance may appear in the batch only
+// once. The inner loop allocates nothing; the per-call setup cost is
+// one stepper per interface-driven predictor.
 func RunAll(preds []Predictor, tr *tracestore.Packed) []Result {
 	res := make([]Result, len(preds))
 	var k sweepBatch
@@ -91,11 +47,7 @@ func RunAll(preds []Predictor, tr *tracestore.Packed) []Result {
 		case *LGC:
 			k.lgcs, lIdx = append(k.lgcs, q), append(lIdx, j)
 		case *Custom:
-			if r, ok := runCustomBlocked(q, tr); ok {
-				res[j] = r
-			} else {
-				k.steppers, sIdx = append(k.steppers, newCustomStepper(q, tr)), append(sIdx, j)
-			}
+			res[j] = runCustomBlocked(q, tr)
 		default:
 			k.steppers, sIdx = append(k.steppers, genericStepper{p}), append(sIdx, j)
 		}
@@ -167,10 +119,9 @@ func runAllInto(k *sweepBatch, tr *tracestore.Packed, res []Result) {
 		}
 		if len(k.steppers) > 0 {
 			for e := 0; e < m; e++ {
-				id := ids[e]
-				pc, taken := tr.PCOf(id), ts[e] != 0
+				pc, taken := tr.PCOf(ids[e]), ts[e] != 0
 				for j, s := range k.steppers {
-					if s.step(id, pc, taken) {
+					if s.step(pc, taken) {
 						r[j].Misses++
 					}
 				}
@@ -183,25 +134,17 @@ func runAllInto(k *sweepBatch, tr *tracestore.Packed, res []Result) {
 }
 
 // runCustomBlocked simulates one Custom instance over the whole packed
-// trace through per-entry block tables instead of stepping runners bit
-// by bit: under the update-all policy each entry's runner walks the
-// GLOBAL outcome stream 8 events per table lookup, scoring only at its
-// own branch's positions (fsm.BlockTable.RunSampled); under the
-// matched-only ablation each matched runner walks just its branch's
-// substream. The XScale base is a PC-indexed table, not an FSM, so it
-// keeps its scalar pass — which also tallies base-predicted events
-// (branches with no matching entry). Exit states are written back into
-// the runners, so the instance's visible state afterwards is
-// bit-identical to the scalar stepper's. Returns ok=false — caller
-// falls back to the scalar kernel — when any machine has no block
-// table (over the state bound).
-func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
-	tabs := make([]*fsm.BlockTable, len(c.entries))
-	for i, e := range c.entries {
-		if tabs[i] = fsm.BlockTableFor(e.Machine); tabs[i] == nil {
-			return Result{}, false
-		}
-	}
+// trace through the packed machine walks instead of stepping runners
+// bit by bit: under the update-all policy each entry's runner walks the
+// GLOBAL outcome stream (8 events per table lookup when the machine has
+// a block table), scoring only at its own branch's positions
+// (fsm.Machine.RunSampled); under the matched-only ablation each
+// matched runner walks just its branch's substream. The XScale base is
+// a PC-indexed table, not an FSM, so it keeps its scalar pass — which
+// also tallies base-predicted events (branches with no matching entry).
+// Exit states are written back into the runners, so the instance's
+// visible state afterwards is bit-identical to Run's.
+func runCustomBlocked(c *Custom, tr *tracestore.Packed) Result {
 	// slot[id]: custom entry serving that static branch, -1 for none.
 	// winner[i]: the static branch entry i serves in this trace, -1 if
 	// its tag never occurs (tags are unique per entry in byTag, so an
@@ -223,14 +166,14 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 	n := tr.Len()
 	words := tr.Outcomes().Words()
 	misses := 0
-	for i := range c.entries {
+	for i, e := range c.entries {
 		state := c.runners[i].State()
 		if c.UpdateMatchedOnly {
 			// The runner advances (and predicts) only on its branch's
 			// own occurrences.
 			if w := winner[i]; w >= 0 {
 				sub := tr.SubOf(w)
-				r, end := tabs[i].RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0, nil)
+				r, end := e.Machine.RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0, nil)
 				misses += r.Total - r.Correct
 				c.runners[i].SetState(end)
 			}
@@ -243,7 +186,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 		if w := winner[i]; w >= 0 {
 			pos = tr.SubOf(w).Pos
 		}
-		m, end := tabs[i].RunSampled(state, words, n, pos, tr.SpanIndex())
+		m, end := e.Machine.RunSampled(state, words, n, pos, tr.SpanIndex())
 		misses += m
 		c.runners[i].SetState(end)
 	}
@@ -258,7 +201,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 		}
 		c.base.Update(pc, taken)
 	}
-	return Result{Total: n, Misses: misses}, true
+	return Result{Total: n, Misses: misses}
 }
 
 // RunCustomPrefixes simulates every prefix of one trained entry set —
@@ -274,10 +217,6 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 // relevant range of prefix lengths through a difference array. This
 // replaces the O(len(entries)²) runner-events of simulating each prefix
 // separately (the Figure 5 area sweep) with O(len(entries)) per event.
-//
-// Each entry's replay runs on its block table, or — a machine over the
-// block-table bound — on the scalar sampled walk (see
-// RunCustomPrefixesParallel).
 func RunCustomPrefixes(entries []*CustomEntry, tr *tracestore.Packed) []Result {
 	return RunCustomPrefixesParallel(entries, tr, 1)
 }
@@ -334,22 +273,15 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 	// every runner advances on the whole global stream from its start
 	// state and is scored at its tag's positions. Entries whose tag
 	// never occurs contribute nothing (and, under update-all, their
-	// state is invisible), so they are skipped outright. An entry whose
-	// machine is over the block-table bound takes the scalar sampled
-	// walk, bit-identical to the table walk; the others keep theirs.
+	// state is invisible), so they are skipped outright.
 	words := tr.Outcomes().Words()
 	entryMiss, _ := par.Map(context.Background(), workers, n, func(i int) (int, error) {
 		id, ok := tr.IDOf(entries[i].Tag)
 		if !ok {
 			return 0, nil
 		}
-		pos := tr.SubOf(id).Pos
 		m := entries[i].Machine
-		if t := fsm.BlockTableFor(m); t != nil {
-			miss, _ := t.RunSampled(t.StartState(), words, events, pos, tr.SpanIndex())
-			return miss, nil
-		}
-		miss, _ := m.RunSampledScalar(m.Start, words, events, pos)
+		miss, _ := m.RunSampled(m.Start, words, events, tr.SubOf(id).Pos, tr.SpanIndex())
 		return miss, nil
 	})
 

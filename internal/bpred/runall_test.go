@@ -204,7 +204,7 @@ func TestRunAllInnerLoopAllocs(t *testing.T) {
 		lgcs:    []*LGC{NewLGC(8), NewLGC(12)},
 		steppers: []traceStepper{
 			genericStepper{NewXScale()},
-			newCustomStepper(NewCustom(entries), packed),
+			genericStepper{NewCustom(entries)},
 		},
 		pcIndex: pcIndexOf(packed),
 	}
@@ -322,11 +322,11 @@ func TestRunCustomPrefixesMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRunKernelOff covers the scalar stepper fallback:
-// custom entries whose machines exceed the block-table state bound get
-// no block table, so RunAll and RunCustomPrefixes step them bit by bit.
-// Both must still match Run, and the padding (unreachable states) must
-// not change a single prediction.
+// TestRunAllMatchesRunKernelOff covers the scalar walks: custom entries
+// whose machines exceed the block-table state bound get no block table,
+// so RunAll and RunCustomPrefixes replay them bit by bit. Both must
+// still match Run, and the padding (unreachable states) must not change
+// a single prediction.
 func TestRunAllMatchesRunKernelOff(t *testing.T) {
 	train := benchEvents(t, "gsm", workload.Train, 10_000)
 	test := benchEvents(t, "gsm", workload.Test, 10_000)
@@ -434,17 +434,15 @@ func padPastBound(t *testing.T, m *fsm.Machine) *fsm.Machine {
 	return p
 }
 
-// TestRunCustomPrefixesMixedStateBound checks the prefix sweep's
-// per-entry fallback: an entry set mixing table-backed machines with
-// machines over the block-table bound — including a shadowed tag and a
-// tag no branch has — must reproduce, for every prefix length, that
-// prefix's Custom instance run over the events, on both inputs. It also
-// pins that the paper grid takes this path: the order-9 designs for gs
-// and vortex at the paper's trace length include a machine over 256
-// states.
-func TestRunCustomPrefixesMixedStateBound(t *testing.T) {
-	train := benchEvents(t, "vortex", workload.Train, 20_000)
-	test := benchEvents(t, "vortex", workload.Test, 20_000)
+// mixedStateBoundSet trains a vortex entry set and mixes it across the
+// block-table bound: every other entry is padded past the bound, entry
+// 0's branch is shadowed by a padded machine, and an absent tag rides
+// on a padded machine. It returns the train and test events with the
+// mixed set.
+func mixedStateBoundSet(t *testing.T) (train, test []trace.BranchEvent, mixed []*CustomEntry) {
+	t.Helper()
+	train = benchEvents(t, "vortex", workload.Train, 20_000)
+	test = benchEvents(t, "vortex", workload.Test, 20_000)
 	entries, err := TrainCustom(train, TrainOptions{MaxEntries: 5, Order: 5, MinExecutions: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -452,9 +450,7 @@ func TestRunCustomPrefixesMixedStateBound(t *testing.T) {
 	if len(entries) < 4 {
 		t.Fatalf("need at least four entries, got %d", len(entries))
 	}
-	// Pad every other entry past the bound, shadow entry 0's branch with a
-	// padded machine, and add an absent tag on a padded machine.
-	mixed := make([]*CustomEntry, 0, len(entries)+2)
+	mixed = make([]*CustomEntry, 0, len(entries)+2)
 	for i, e := range entries {
 		if i%2 == 1 {
 			e = &CustomEntry{Tag: e.Tag, Machine: padPastBound(t, e.Machine)}
@@ -465,6 +461,46 @@ func TestRunCustomPrefixesMixedStateBound(t *testing.T) {
 		&CustomEntry{Tag: entries[0].Tag, Machine: padPastBound(t, entries[2].Machine)},
 		&CustomEntry{Tag: 0xdead0000, Machine: padPastBound(t, entries[1].Machine)},
 	)
+	return train, test, mixed
+}
+
+// TestRunAllMixedStateBound checks RunAll on a Custom whose entries mix
+// table-backed machines with machines over the block-table bound,
+// under both update policies and over two passes: each instance must
+// match Run on results and on the state it is left in, runner by
+// runner.
+func TestRunAllMixedStateBound(t *testing.T) {
+	train, test, mixed := mixedStateBoundSet(t)
+	for _, matchedOnly := range []bool{false, true} {
+		batch, oracle := NewCustom(mixed), NewCustom(mixed)
+		batch.UpdateMatchedOnly, oracle.UpdateMatchedOnly = matchedOnly, matchedOnly
+		for pass, events := range [][]trace.BranchEvent{test, train} {
+			got := RunAll([]Predictor{batch}, tracestore.Pack(events))
+			if want := Run(oracle, events); got[0] != want {
+				t.Fatalf("matchedOnly=%v pass %d: RunAll %+v, Run %+v", matchedOnly, pass, got[0], want)
+			}
+			for i := range mixed {
+				if g, w := batch.runners[i].State(), oracle.runners[i].State(); g != w {
+					t.Fatalf("matchedOnly=%v pass %d entry %d: runner state %d, Run leaves %d", matchedOnly, pass, i, g, w)
+				}
+			}
+			if !reflect.DeepEqual(batch.base, oracle.base) {
+				t.Fatalf("matchedOnly=%v pass %d: base state after RunAll differs from Run", matchedOnly, pass)
+			}
+		}
+	}
+}
+
+// TestRunCustomPrefixesMixedStateBound checks the prefix sweep's
+// per-entry fallback: an entry set mixing table-backed machines with
+// machines over the block-table bound — including a shadowed tag and a
+// tag no branch has — must reproduce, for every prefix length, that
+// prefix's Custom instance run over the events, on both inputs. It also
+// pins that the paper grid takes this path: the order-9 designs for gs
+// and vortex at the paper's trace length include a machine over 256
+// states.
+func TestRunCustomPrefixesMixedStateBound(t *testing.T) {
+	train, test, mixed := mixedStateBoundSet(t)
 	for name, events := range map[string][]trace.BranchEvent{"train": train, "test": test} {
 		packed := tracestore.Pack(events)
 		for _, workers := range []int{1, 3} {

@@ -103,15 +103,6 @@ func CorrectnessTrace(loads []trace.LoadEvent, tableLog2 int) []bool {
 	return bits
 }
 
-// CorrectnessModel profiles the global correctness stream into an
-// order-N Markov model — the literal §6.3 protocol, paired with
-// EvaluateGlobal/FSMCurveGlobal (one FSM watching every load).
-func CorrectnessModel(loads []trace.LoadEvent, tableLog2, order int) *markov.Model {
-	m := markov.New(order)
-	m.AddBools(CorrectnessTrace(loads, tableLog2))
-	return m
-}
-
 // PerEntryCorrectnessModel profiles each table entry's own correctness
 // stream into one merged order-N Markov model. This is the training view
 // matching the per-entry deployment of Evaluate/FSMCurve, where each of
@@ -138,32 +129,6 @@ func PerEntryCorrectnessModel(loads []trace.LoadEvent, tableLog2, order int) *ma
 		h.Push(correct)
 	}
 	return m
-}
-
-// EvaluateGlobal drives the load trace with a single confidence estimator
-// shared across all loads, matching training on the global correctness
-// stream (CorrectnessModel).
-func EvaluateGlobal(loads []trace.LoadEvent, tableLog2 int, est counters.Predictor) Result {
-	sp := vpred.New(tableLog2)
-	var r Result
-	for _, ld := range loads {
-		acc := sp.Access(ld.PC, ld.Value)
-		if acc.Valid {
-			r.Accesses++
-			confident := est.Predict()
-			if acc.Correct {
-				r.Correct++
-			}
-			if confident {
-				r.Flagged++
-				if acc.Correct {
-					r.FlaggedCorrect++
-				}
-			}
-		}
-		est.Update(acc.Valid && acc.Correct)
-	}
-	return r
 }
 
 // SUDPoint is one saturating-counter configuration's accuracy/coverage.
@@ -210,15 +175,6 @@ func FSMCurve(model *markov.Model, thresholds []float64, loads []trace.LoadEvent
 		return Evaluate(loads, tableLog2, func() counters.Predictor {
 			return machine.NewRunner()
 		})
-	})
-}
-
-// FSMCurveGlobal designs one confidence FSM per bias threshold from a
-// GLOBAL correctness model (see CorrectnessModel) and evaluates each as a
-// single shared estimator — the paper-literal §6.3 protocol.
-func FSMCurveGlobal(model *markov.Model, thresholds []float64, loads []trace.LoadEvent, tableLog2 int) ([]FSMPoint, error) {
-	return fsmCurve(model, thresholds, func(machine *fsm.Machine) Result {
-		return EvaluateGlobal(loads, tableLog2, machine.NewRunner())
 	})
 }
 

@@ -201,54 +201,3 @@ func TestFSMCurveDefaultThresholds(t *testing.T) {
 		}
 	}
 }
-
-func TestCorrectnessModelOrder(t *testing.T) {
-	loads := loadTrace(t, "go", workload.Train, 5000)
-	m := CorrectnessModel(loads, 11, 7)
-	if m.Order() != 7 {
-		t.Errorf("order = %d, want 7", m.Order())
-	}
-	if m.Total() == 0 {
-		t.Error("empty model")
-	}
-}
-
-func TestFSMCurveGlobalProtocol(t *testing.T) {
-	// The paper-literal protocol: one FSM trained on the global
-	// interleaved correctness stream, deployed as a single shared
-	// estimator. Training and deployment views match, so the curve must
-	// show a real coverage/accuracy tradeoff.
-	train := loadTrace(t, "perl", workload.Train, 50000)
-	test := loadTrace(t, "perl", workload.Test, 40000)
-	model := CorrectnessModel(train, 11, 6)
-	points, err := FSMCurveGlobal(model, []float64{0.5, 0.8, 0.95}, test, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	base := EvaluateGlobal(test, 11, counters.Static(true))
-	mid := points[0].Result
-	if mid.Flagged == 0 {
-		t.Fatal("global FSM flagged nothing at threshold 0.5")
-	}
-	if mid.Accuracy() < base.Accuracy()-1e-9 {
-		t.Errorf("global FSM accuracy %.3f below the base correctness rate %.3f",
-			mid.Accuracy(), base.Accuracy())
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Result.Coverage() > points[i-1].Result.Coverage()+0.02 {
-			t.Errorf("coverage should not rise with threshold: %.3f -> %.3f",
-				points[i-1].Result.Coverage(), points[i].Result.Coverage())
-		}
-	}
-}
-
-func TestEvaluateGlobalCounts(t *testing.T) {
-	loads := loadTrace(t, "li", workload.Train, 10000)
-	r := EvaluateGlobal(loads, 11, counters.Static(true))
-	if r.Flagged != r.Accesses || r.Coverage() != 1 {
-		t.Errorf("always-confident global result wrong: %+v", r)
-	}
-}

@@ -47,48 +47,19 @@ func EvaluateStreams(cs *tracestore.ConfStreams, newEstimator func() counters.Pr
 	return r
 }
 
-// EvaluateGlobalStreams replays the whole-trace streams through a single
-// shared estimator, matching EvaluateGlobal.
-func EvaluateGlobalStreams(cs *tracestore.ConfStreams, est counters.Predictor) Result {
-	var r Result
-	n := cs.Valid.Len()
-	for i := 0; i < n; i++ {
-		correct := cs.Correct.At(i)
-		if cs.Valid.At(i) {
-			r.Accesses++
-			confident := est.Predict()
-			if correct {
-				r.Correct++
-			}
-			if confident {
-				r.Flagged++
-				if correct {
-					r.FlaggedCorrect++
-				}
-			}
-		}
-		est.Update(correct)
-	}
-	return r
-}
-
 // EvaluateStreamsMachine is EvaluateStreams for a machine-backed
-// estimator, replayed through the machine's block table: per segment,
-// one ReplayGated pass scores flagged/flagged-correct 8 events per
-// lookup, and accesses/correct reduce to word popcounts over the
-// packed valid and correct streams. Falls back to the generic
-// bit-at-a-time replay — the layer's scalar reference — for machines
-// over the block-table bound.
+// estimator, replayed through the machine's packed gated walk: per
+// segment, one ReplayGated pass scores flagged/flagged-correct (8
+// events per lookup when the machine has a block table), and
+// accesses/correct reduce to word popcounts over the packed valid and
+// correct streams. Mismatched segment streams fall back to the generic
+// bit-at-a-time replay, the layer's scalar reference.
 func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
-	t := fsm.BlockTableFor(m)
-	if t == nil {
-		return EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
-	}
 	var r Result
 	for _, seg := range cs.Segments {
 		n := seg.Valid.Len()
 		cw, vw := seg.Correct.Words(), seg.Valid.Words()
-		flagged, flaggedCorrect, err := t.ReplayGated(cw, vw, n, seg.Spans)
+		flagged, flaggedCorrect, err := m.ReplayGated(cw, vw, n, seg.Spans)
 		if err != nil {
 			return EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
 		}
@@ -104,19 +75,16 @@ func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
 // machines: the whole set replays each segment in one Fleet.ReplayGated
 // pass (structurally identical machines dedup to one walk), and the
 // segment popcounts for Accesses/Correct — the same for every machine —
-// are computed once and shared. Falls back to per-machine evaluation
-// when a machine will not compile (over the block-table bound).
-func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) []Result {
+// are computed once and shared. Mismatched segment streams fall back
+// to per-machine evaluation; a nil or invalid machine is an error.
+func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) ([]Result, error) {
 	out := make([]Result, len(machines))
 	if len(machines) == 0 {
-		return out
+		return out, nil
 	}
 	fl, err := fsm.NewFleet(machines)
 	if err != nil {
-		for i, m := range machines {
-			out[i] = EvaluateStreamsMachine(cs, m)
-		}
-		return out
+		return nil, err
 	}
 	for _, seg := range cs.Segments {
 		n := seg.Valid.Len()
@@ -126,7 +94,7 @@ func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) [
 			for i, m := range machines {
 				out[i] = EvaluateStreamsMachine(cs, m)
 			}
-			return out
+			return out, nil
 		}
 		accesses := seg.Valid.Ones()
 		correct := onesAnd(vw, cw)
@@ -137,7 +105,7 @@ func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) [
 			out[i].Correct += correct
 		}
 	}
-	return out
+	return out, nil
 }
 
 // onesAnd counts positions set in both packed streams (valid AND
@@ -178,14 +146,6 @@ func PerEntryModel(cs *tracestore.ConfStreams, order int) *markov.Model {
 	return m
 }
 
-// GlobalModel profiles the whole-trace correctness stream, matching
-// CorrectnessModel's counts (and foldable, like PerEntryModel).
-func GlobalModel(cs *tracestore.ConfStreams, order int) *markov.Model {
-	m := markov.New(order)
-	m.AddTrace(cs.Correct)
-	return m
-}
-
 // FSMCurveStreams designs one confidence FSM per bias threshold from the
 // given per-entry correctness model and evaluates each by segment
 // replay, matching FSMCurve. The whole threshold sweep is designed
@@ -200,7 +160,10 @@ func FSMCurveStreams(model *markov.Model, thresholds []float64, cs *tracestore.C
 	for i := range points {
 		machines[i] = points[i].Machine
 	}
-	results := EvaluateStreamsFleet(cs, machines)
+	results, err := EvaluateStreamsFleet(cs, machines)
+	if err != nil {
+		return nil, err
+	}
 	for i := range points {
 		points[i].Result = results[i]
 	}

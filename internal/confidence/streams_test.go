@@ -93,8 +93,8 @@ func TestSUDSweepStreamsMatches(t *testing.T) {
 // TestEvaluateStreamsMachineMatches is the block-kernel differential
 // test: the gated byte-blocked replay must be tally-for-tally
 // identical to the generic per-bit estimator replay (the layer's
-// scalar reference), both for counter machines and for the fallback a
-// machine over the block-table bound takes.
+// scalar reference), both for counter machines and for the scalar walk
+// a machine over the block-table bound takes.
 func TestEvaluateStreamsMachineMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	for _, cfg := range counters.PaperSweep()[:12] {
@@ -117,7 +117,7 @@ func TestEvaluateStreamsMachineMatches(t *testing.T) {
 		t.Fatalf("%d-state machine got a block table", big.NumStates())
 	}
 	if got := EvaluateStreamsMachine(cs, big); got != want {
-		t.Fatalf("oversized fallback: %+v, want %+v", got, want)
+		t.Fatalf("oversized machine: %+v, want %+v", got, want)
 	}
 }
 
@@ -135,9 +135,8 @@ func oversized(m *fsm.Machine) *fsm.Machine {
 // TestEvaluateStreamsFleetMatches pins the batched fleet replay to the
 // generic per-bit replay: every machine of a mixed set (counter
 // machines, including a structural duplicate) must score exactly as
-// EvaluateStreams scores it alone, and a set holding a machine over the
-// block-table bound must take the per-machine fallback with the same
-// results.
+// EvaluateStreams scores it alone, also when the set holds a machine
+// over the block-table bound.
 func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	var machines []*fsm.Machine
@@ -152,7 +151,10 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	}
 	check := func(label string, machines []*fsm.Machine) {
 		t.Helper()
-		got := EvaluateStreamsFleet(cs, machines)
+		got, err := EvaluateStreamsFleet(cs, machines)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		if len(got) != len(machines) {
 			t.Fatalf("%s: %d results for %d machines", label, len(got), len(machines))
 		}
@@ -164,7 +166,7 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	}
 	check("fleet", machines)
 	withBig := append([]*fsm.Machine{oversized(machines[0])}, machines[1:]...)
-	check("oversized fallback", withBig)
+	check("oversized member", withBig)
 }
 
 // TestEvaluateStreamsMachineAllocs guards the blocked replay's
@@ -176,17 +178,6 @@ func TestEvaluateStreamsMachineAllocs(t *testing.T) {
 	EvaluateStreamsMachine(cs, m) // warm the table cache
 	if avg := testing.AllocsPerRun(10, func() { EvaluateStreamsMachine(cs, m) }); avg != 0 {
 		t.Errorf("EvaluateStreamsMachine allocates %.1f per run, want 0", avg)
-	}
-}
-
-// TestEvaluateGlobalStreamsMatches checks the shared-estimator replay.
-func TestEvaluateGlobalStreamsMatches(t *testing.T) {
-	loads, cs := streamFixtures(t)
-	cfg := counters.PaperSweep()[0]
-	want := EvaluateGlobal(loads, streamTestLog2, counters.NewSUD(cfg))
-	got := EvaluateGlobalStreams(cs, counters.NewSUD(cfg))
-	if got != want {
-		t.Fatalf("global stream result %+v, trace result %+v", got, want)
 	}
 }
 
@@ -226,10 +217,6 @@ func TestPerEntryModelMatches(t *testing.T) {
 		if !modelCountsEqual(folded, want) {
 			t.Fatalf("order %d: folded order-%d model differs from direct profiling", order, maxOrder)
 		}
-	}
-	want := CorrectnessModel(loads, streamTestLog2, 4)
-	if !modelCountsEqual(GlobalModel(cs, 4), want) {
-		t.Fatal("global stream model counts differ from trace model")
 	}
 }
 

@@ -105,7 +105,11 @@ func Figure4(cfg Config, sampleFrac float64) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure4Result{Points: points, MissRates: customMissRates(sampled, cfg.Adaptive)}
+	rates, err := customMissRates(sampled, cfg.Adaptive)
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure4Result{Points: points, MissRates: rates}
 	if err := res.fitTrimmed(); err != nil {
 		return nil, err
 	}
@@ -123,12 +127,9 @@ type sampledEntry struct {
 // customMissRates scores every sampled machine over its program's
 // training trace in the update-all replay. Machines are grouped by
 // program and each group runs as ONE fleet pass (one trace read for the
-// whole group); a group holding a machine over the block-table bound
-// replays each machine through the scalar bit-at-a-time walk instead,
-// bit-identical to the fleet. With adaptive on, each group's exact
-// result vector is served from the sweep memo on repeats — legal
-// precisely because the two simulation paths agree bit for bit.
-func customMissRates(sampled []sampledEntry, adaptive bool) []float64 {
+// whole group). With adaptive on, each group's exact result vector is
+// served from the sweep memo on repeats.
+func customMissRates(sampled []sampledEntry, adaptive bool) ([]float64, error) {
 	rates := make([]float64, len(sampled))
 	groups := make(map[*tracestore.Packed][]int)
 	var order []*tracestore.Packed
@@ -167,15 +168,11 @@ func customMissRates(sampled []sampledEntry, adaptive bool) []float64 {
 				pos[k] = p.SubOf(id).Pos
 			}
 		}
-		var misses []int
-		if fl, err := fsm.NewFleet(machines); err == nil {
-			misses = fl.RunSampled(words, n, pos)
-		} else {
-			misses = make([]int, len(machines))
-			for k, m := range machines {
-				misses[k], _ = m.RunSampledScalar(m.Start, words, n, pos[k])
-			}
+		fl, err := fsm.NewFleet(machines)
+		if err != nil {
+			return nil, err
 		}
+		misses := fl.RunSampled(words, n, pos)
 		if adaptive {
 			v := make([]fsm.SimResult, len(idxs))
 			for k := range idxs {
@@ -189,7 +186,7 @@ func customMissRates(sampled []sampledEntry, adaptive bool) []float64 {
 			}
 		}
 	}
-	return rates
+	return rates, nil
 }
 
 // fitTrimmed fits the linear bulk: a robust Theil–Sen line locates the

@@ -30,10 +30,10 @@ import (
 const blockShift = 8
 
 // maxBlockStates bounds the machines a BlockTable can represent:
-// next-state and the block's prediction mask each fit a byte. Every
-// machine the design flow emits is far smaller (2^order histories,
-// counter sweeps top out at 41 states); larger hand-built machines
-// simply fall back to the scalar oracle.
+// next-state and the block's prediction mask each fit a byte. Larger
+// machines (some order-9 designs, hand-built machines over the wire)
+// take the scalar references through the Machine walks; this bound is
+// decided nowhere else.
 const maxBlockStates = 256
 
 // BlockTable is the compiled transition closure of one Machine over
@@ -67,8 +67,8 @@ func newBlockTable(tab []uint16, step, out []uint8, start uint8, src *Machine) *
 }
 
 // CompileBlockTable builds the closure table for a machine. It errors
-// on an invalid machine or one with more than 256 states; callers that
-// want silent fallback use BlockTableFor, which returns nil instead.
+// on an invalid machine or one with more than 256 states (BlockTableFor
+// returns nil instead).
 func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -144,12 +144,16 @@ func (t *BlockTable) Bytes() uint64 {
 // compiledFrom reports whether the table was compiled from a machine
 // behaviourally identical to m — the content check behind the hashed
 // cache (Name is irrelevant to simulation and deliberately ignored).
-func (t *BlockTable) compiledFrom(m *Machine) bool {
-	if len(m.Next) != len(t.src.Next) || m.Start != t.src.Start {
+func (t *BlockTable) compiledFrom(m *Machine) bool { return sameMachine(t.src, m) }
+
+// sameMachine reports whether two machines are structurally identical
+// (Name ignored).
+func sameMachine(a, b *Machine) bool {
+	if len(a.Next) != len(b.Next) || a.Start != b.Start {
 		return false
 	}
-	for s, row := range m.Next {
-		if row != t.src.Next[s] || m.Output[s] != t.src.Output[s] {
+	for s, row := range a.Next {
+		if row != b.Next[s] || a.Output[s] != b.Output[s] {
 			return false
 		}
 	}

@@ -31,32 +31,116 @@ func randomBits(rng *rand.Rand, n int) *bitseq.Bits {
 	return b
 }
 
-// TestSimulateUsesBlockKernel checks Simulate/SimulateBits agree with
-// the scalar oracle on the blocked walk and on the scalar fallback a
-// machine over the block-table bound takes.
+// TestSimulateUsesBlockKernel checks every Machine walk — Simulate,
+// SimulateBits, RunFrom from a non-start state, RunSampled and
+// ReplayGated — and the three walks of a fleet mixing both kinds of
+// machine, with duplicates, against the scalar references, on the
+// blocked walk and on the scalar walk a machine over the block-table
+// bound takes. The padded machines add unreachable states to a small
+// one, so at 256 states (the last with a table) and at 257 every walk
+// must reproduce the small machine's references exactly.
 func TestSimulateUsesBlockKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomMachine(rng, 23)
 	bits := randomBits(rng, 10000)
+	valid := randomBits(rng, 10000)
 	bools := bits.Bools()
-	big := m.Clone()
-	for s := big.NumStates(); s <= maxBlockStates; s++ {
-		big.Output = append(big.Output, false)
-		big.Next = append(big.Next, [2]int{s, s})
+	words, n := bits.Words(), bits.Len()
+	runs := bitseq.Runs(words, n, 1)
+	pad := func(states int) *Machine {
+		p := m.Clone()
+		for s := p.NumStates(); s < states; s++ {
+			p.Output = append(p.Output, false)
+			p.Next = append(p.Next, [2]int{s, s})
+		}
+		return p
 	}
-	if BlockTableFor(m) == nil || BlockTableFor(big) != nil {
+	at256, at257 := pad(maxBlockStates), pad(maxBlockStates+1)
+	if BlockTableFor(m) == nil || BlockTableFor(at256) == nil || BlockTableFor(at257) != nil {
 		t.Fatal("block-table availability is not what the test needs")
 	}
-	for _, skip := range []int{0, 9, 4096, 4100, 9999, 10000, 10001} {
-		want := m.SimulateScalar(bools, skip)
-		for name, mm := range map[string]*Machine{"blocked": m, "fallback": big} {
+	var pos []int32
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			pos = append(pos, int32(i))
+		}
+	}
+	const from = 7 // a non-start entry state, below every machine's size
+	if from == m.Start {
+		t.Fatal("entry state is the start state")
+	}
+	fromStart := m.Clone()
+	fromStart.Start = from
+	wantMiss, wantEnd := m.RunSampledScalar(from, words, n, pos)
+	wantFlag, wantFlagCorrect := m.gatedScalar(words, valid.Words(), n)
+	kinds := map[string]*Machine{"blocked": m, "256 states": at256, "257 states": at257}
+	for name, mm := range kinds {
+		for _, skip := range []int{0, 9, 4096, 4100, 9999, 10000, 10001} {
+			want := m.SimulateScalar(bools, skip)
 			if got := mm.Simulate(bools, skip); got != want {
 				t.Fatalf("%s skip %d: Simulate %+v, scalar %+v", name, skip, got, want)
 			}
 			if got := mm.SimulateBits(bits, skip); got != want {
 				t.Fatalf("%s skip %d: SimulateBits %+v, scalar %+v", name, skip, got, want)
 			}
+			want = fromStart.SimulateScalar(bools, skip)
+			if got, end := mm.RunFrom(from, words, n, skip, runs); got != want || end != wantEnd {
+				t.Fatalf("%s skip %d: RunFrom(%d) %+v exit %d, scalar %+v exit %d", name, skip, from, got, end, want, wantEnd)
+			}
 		}
+		if miss, end := mm.RunSampled(from, words, n, pos, runs); miss != wantMiss || end != wantEnd {
+			t.Fatalf("%s: RunSampled %d misses exit %d, scalar %d exit %d", name, miss, end, wantMiss, wantEnd)
+		}
+		flagged, flaggedCorrect, err := mm.ReplayGated(words, valid.Words(), n, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged != wantFlag || flaggedCorrect != wantFlagCorrect {
+			t.Fatalf("%s: ReplayGated (%d, %d), scalar (%d, %d)", name, flagged, flaggedCorrect, wantFlag, wantFlagCorrect)
+		}
+		if _, _, err := mm.ReplayGated(words, valid.Words()[1:], n, nil); err == nil {
+			t.Fatalf("%s: mismatched gated streams accepted", name)
+		}
+	}
+
+	// A mixed fleet: duplicates of both kinds, one a distinct pointer,
+	// and two distinct machines over the bound.
+	members := []*Machine{at257, m, at256, at257, pad(maxBlockStates + 1), m, pad(maxBlockStates + 2)}
+	f, err := NewFleet(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Unique() != 4 || f.Deduped() != 3 {
+		t.Fatalf("fleet unique %d deduped %d, want 4 and 3", f.Unique(), f.Deduped())
+	}
+	memberPos := make([][]int32, len(members))
+	for j := range members {
+		memberPos[j] = pos[j:] // a different sample per member, duplicates too
+	}
+	for _, skip := range []int{0, 9, 4100, 10001} {
+		want := m.SimulateScalar(bools, skip)
+		for j, got := range f.RunParallelSpans(2, words, n, skip, runs) {
+			if got != want {
+				t.Fatalf("fleet member %d skip %d: RunParallelSpans %+v, scalar %+v", j, skip, got, want)
+			}
+		}
+	}
+	for j, miss := range f.RunSampled(words, n, memberPos) {
+		if want, _ := m.RunSampledScalar(m.Start, words, n, memberPos[j]); miss != want {
+			t.Fatalf("fleet member %d: RunSampled %d misses, scalar %d", j, miss, want)
+		}
+	}
+	flagged, flaggedCorrect, err := f.ReplayGated(words, valid.Words(), n, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range members {
+		if flagged[j] != wantFlag || flaggedCorrect[j] != wantFlagCorrect {
+			t.Fatalf("fleet member %d: ReplayGated (%d, %d), scalar (%d, %d)", j, flagged[j], flaggedCorrect[j], wantFlag, wantFlagCorrect)
+		}
+	}
+	if _, _, err := f.ReplayGated(words, valid.Words()[1:], n, nil); err == nil {
+		t.Fatal("fleet: mismatched gated streams accepted")
 	}
 }
 

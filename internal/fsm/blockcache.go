@@ -17,10 +17,10 @@ const blockCacheEntries = 512
 var blockCache = memo.New[uint64, *BlockTable](blockCacheEntries, (*BlockTable).Bytes)
 
 // BlockTableFor returns the shared closure table for a machine,
-// compiling and caching it on first use. It returns nil — callers then
-// fall back to the scalar path — when the machine is unrepresentable
-// (invalid, or over 256 states). Safe for concurrent use; steady-state
-// lookups allocate nothing.
+// compiling and caching it on first use. It returns nil when the
+// machine is unrepresentable (invalid, or over 256 states); the Machine
+// walks then take the scalar references. Safe for concurrent use;
+// steady-state lookups allocate nothing.
 func BlockTableFor(m *Machine) *BlockTable {
 	if m == nil {
 		return nil

@@ -12,7 +12,9 @@ import (
 // pass — the GA search over machine encodings, Figure 4's synthesis
 // batch, Figure 2's per-history threshold curves, and coalesced
 // batch-simulate flushes. A fleet is the engine's layout (walk.go) over
-// any number of slots, plus two things a single table does not need:
+// any number of slots, plus the machines over the block-table bound
+// (walked by their scalar references alongside the packed slots), plus
+// two things a single table does not need:
 //
 //   - Structural dedup. Identical machines inside a fleet (converged
 //     GA populations, duplicate batch requests) are detected by
@@ -32,70 +34,104 @@ const fleetChunkBytes = 128 << 10
 // immutable after construction and safe for concurrent use.
 type Fleet struct {
 	layout
-	// idx maps each input machine to its unique slot: idx[i] == idx[j]
-	// iff machines i and j are structurally identical.
+	// idx maps each input machine to its unique member: idx[i] == idx[j]
+	// iff machines i and j are structurally identical. Members below
+	// slots() are packed slots; member slots()+k is big[k].
 	idx []int32
-	// nuniq is the number of real unique machines; slots beyond it are
-	// lane padding (copies of the last unique table) that round the
-	// packed slot count up to an eight-lane group so the whole pass runs
-	// in the wide spanOct loop. No idx entry maps to a padding slot.
+	// nuniq is the number of real unique packed machines; slots beyond
+	// it are lane padding (copies of the last unique table) that round
+	// the packed slot count up to an eight-lane group so the whole pass
+	// runs in the wide spanOct loop. No idx entry maps to a padding slot.
 	nuniq int
+	// big holds the unique machines over the block-table bound, which
+	// walk through the Machine methods (the scalar references).
+	big []*Machine
 }
 
-// NewFleet compiles a fleet from machines. Every machine must be valid
-// and within the block-table state bound (256); otherwise an error
-// names the offending index and callers fall back to per-machine
-// simulation. Compilation goes through the shared block-table cache,
-// so recurring machines (GA elites, repeated batch requests) cost one
-// table build process-wide.
+// NewFleet compiles a fleet from machines. Every machine must be
+// non-nil and valid; otherwise an error names the offending index.
+// Machines within the block-table bound are packed through the shared
+// block-table cache, so recurring machines (GA elites, repeated batch
+// requests) cost one table build process-wide; larger ones ride along
+// on the scalar walks, with the same results and dedup.
 func NewFleet(machines []*Machine) (*Fleet, error) {
 	tabs := make([]*BlockTable, len(machines))
 	for i, m := range machines {
 		if m == nil {
 			return nil, fmt.Errorf("fsm: fleet machine %d is nil", i)
 		}
-		t := BlockTableFor(m)
-		if t == nil {
-			var err error
-			if t, err = CompileBlockTable(m); err != nil {
+		if tabs[i] = BlockTableFor(m); tabs[i] == nil {
+			if err := m.Validate(); err != nil {
 				return nil, fmt.Errorf("fsm: fleet machine %d: %v", i, err)
 			}
 		}
-		tabs[i] = t
 	}
-	return FleetOfTables(tabs), nil
+	return packFleet(machines, tabs), nil
 }
 
 // FleetOfTables packs already-compiled block tables into a fleet — the
-// entry point for callers that hold tables (the batch-simulate flush).
-// Structurally identical machines collapse into one packed slot, and a
-// fleet of one distinct table reuses that table's arrays.
+// entry point for callers that hold tables (the GA search, the
+// fidelity ladder).
 func FleetOfTables(tabs []*BlockTable) *Fleet {
-	f := &Fleet{idx: make([]int32, len(tabs))}
-	// Dedup by content hash, verified structurally so a collision can
-	// never alias two distinct machines.
-	seen := make(map[uint64][]int32, len(tabs))
-	var uniq []*BlockTable
+	machines := make([]*Machine, len(tabs))
 	for i, t := range tabs {
-		h := t.src.blockHash()
-		slot := int32(-1)
-		for _, u := range seen[h] {
-			if uniq[u].compiledFrom(t.src) {
-				slot = u
+		machines[i] = t.src
+	}
+	return packFleet(machines, tabs)
+}
+
+// packFleet builds the fleet of machines, where tabs[i] is machine i's
+// block table or nil over the bound. Structurally identical machines
+// collapse into one member, and a fleet of one distinct table reuses
+// that table's arrays.
+func packFleet(machines []*Machine, tabs []*BlockTable) *Fleet {
+	f := &Fleet{idx: make([]int32, len(machines))}
+	// Dedup by content hash, verified structurally so a collision can
+	// never alias two distinct machines. Over-bound members take
+	// provisional ids ^k until the packed slot count is known.
+	seen := make(map[uint64][]int32, len(machines))
+	var uniq []*BlockTable
+	src := func(u int32) *Machine {
+		if u < 0 {
+			return f.big[^u]
+		}
+		return uniq[u].src
+	}
+	for i, m := range machines {
+		h := m.blockHash()
+		u, found := int32(0), false
+		for _, v := range seen[h] {
+			if found = sameMachine(src(v), m); found {
+				u = v
 				break
 			}
 		}
-		if slot < 0 {
-			slot = int32(len(uniq))
-			uniq = append(uniq, t)
-			seen[h] = append(seen[h], slot)
+		if !found {
+			if tabs[i] != nil {
+				u = int32(len(uniq))
+				uniq = append(uniq, tabs[i])
+			} else {
+				u = ^int32(len(f.big))
+				f.big = append(f.big, m)
+			}
+			seen[h] = append(seen[h], u)
 		}
-		f.idx[i] = slot
+		f.idx[i] = u
 	}
 	f.nuniq = len(uniq)
+	f.layout = packLayout(uniq)
+	for i, u := range f.idx {
+		if u < 0 {
+			f.idx[i] = int32(f.slots()) + ^u
+		}
+	}
+	return f
+}
+
+// packLayout concatenates the unique tables into one layout.
+func packLayout(uniq []*BlockTable) layout {
 	if len(uniq) == 1 {
-		f.layout = uniq[0].layout
-		return f
+		return uniq[0].layout
 	}
 	// Pad the packed slots to an eight-lane group: the one-lane walker
 	// costs ~4x a spanOct lane per machine (one serially-dependent chain
@@ -110,26 +146,27 @@ func FleetOfTables(tabs []*BlockTable) *Fleet {
 			uniq = append(uniq, uniq[len(uniq)-1])
 		}
 	}
-	f.off = make([]uint32, len(uniq)+1)
+	var l layout
+	l.off = make([]uint32, len(uniq)+1)
 	total := 0
 	for u, t := range uniq {
 		total += t.NumStates()
-		f.off[u+1] = uint32(total)
+		l.off[u+1] = uint32(total)
 	}
-	f.tab = make([]uint16, total<<blockShift)
-	f.step = make([]uint8, total<<1)
-	f.out = make([]uint8, total)
-	f.start = make([]uint8, len(uniq))
-	f.spans = make([]*SpanTable, len(uniq))
+	l.tab = make([]uint16, total<<blockShift)
+	l.step = make([]uint8, total<<1)
+	l.out = make([]uint8, total)
+	l.start = make([]uint8, len(uniq))
+	l.spans = make([]*SpanTable, len(uniq))
 	for u, t := range uniq {
-		o := int(f.off[u])
-		copy(f.tab[o<<blockShift:], t.tab)
-		copy(f.step[o<<1:], t.step)
-		copy(f.out[o:], t.out)
-		f.start[u] = t.start[0]
-		f.spans[u] = t.spans[0]
+		o := int(l.off[u])
+		copy(l.tab[o<<blockShift:], t.tab)
+		copy(l.step[o<<1:], t.step)
+		copy(l.out[o:], t.out)
+		l.start[u] = t.start[0]
+		l.spans[u] = t.spans[0]
 	}
-	return f
+	return l
 }
 
 // Len returns the number of input machines (fleet result slots).
@@ -137,7 +174,7 @@ func (f *Fleet) Len() int { return len(f.idx) }
 
 // Unique returns the number of structurally distinct machines — the
 // number of state walks whose results a fleet pass actually uses.
-func (f *Fleet) Unique() int { return f.nuniq }
+func (f *Fleet) Unique() int { return f.nuniq + len(f.big) }
 
 // Deduped returns how many input machines were folded into another
 // slot's walk.
@@ -152,11 +189,12 @@ func (f *Fleet) TableBytes() uint64 {
 // RunParallelSpans replays n events of the packed outcome stream
 // through every fleet machine, the first skip events as unscored
 // warm-up, with the machine chunks sharded over at most workers
-// goroutines (<= 0 means GOMAXPROCS). runs is an optional run index over the
-// same words (nil means none); each chunk walks it with its own cursor.
-// Result i is bit-identical to machines[i]'s BlockTable.RunFrom from
-// its start state, for any worker count and any index; n beyond the
-// words' capacity is clamped.
+// goroutines (<= 0 means GOMAXPROCS) alongside the over-bound machines'
+// own walks. runs is an optional run index over the same words (nil
+// means none); each chunk walks it with its own cursor. Result i is
+// bit-identical to machines[i]'s Machine.RunFrom from its start state,
+// for any worker count and any index; n beyond the words' capacity is
+// clamped.
 func (f *Fleet) RunParallelSpans(workers int, words []uint64, n, skip int, runs []bitseq.Run) []SimResult {
 	res := make([]SimResult, len(f.idx))
 	if len(f.idx) == 0 {
@@ -164,10 +202,20 @@ func (f *Fleet) RunParallelSpans(workers int, words []uint64, n, skip int, runs 
 	}
 	n, skip = clampSpan(words, n, skip)
 	states := append([]uint8(nil), f.start...)
-	correct := make([]int, f.slots())
+	nb := f.slots()
+	correct := make([]int, nb+len(f.big))
+	chunks := f.chunks()
 	// The error is structurally impossible (the fn never fails and the
 	// context is never cancelled), so the result is always complete.
-	par.MapSlice(context.Background(), workers, f.chunks(), func(_ int, c [2]int32) (struct{}, error) {
+	// The scalar walks go first: each is one long task.
+	par.Map(context.Background(), workers, len(f.big)+len(chunks), func(i int) (struct{}, error) {
+		if i < len(f.big) {
+			m := f.big[i]
+			r, _ := m.RunFrom(m.Start, words, n, skip, runs)
+			correct[nb+i] = r.Correct
+			return struct{}{}, nil
+		}
+		c := chunks[i-len(f.big)]
 		var tally spanTally
 		f.walkFull(int(c[0]), int(c[1]), words, n, skip, states, correct, runs, &tally)
 		tally.flush()
@@ -209,14 +257,20 @@ func (f *Fleet) chunks() [][2]int32 {
 // shared stream and scores machine i only at positions pos[i] (strictly
 // ascending, each in [0, n)) — the §7.3 update-all replay batched
 // across a candidate set. It returns per-input misprediction counts,
-// each bit-identical to the machine's BlockTable.RunSampled from its
+// each bit-identical to the machine's Machine.RunSampled from its
 // start state. Positions differ per input, so duplicate machines keep
 // their own walks here.
 func (f *Fleet) RunSampled(words []uint64, n int, pos [][]int32) []int {
 	misses := make([]int, len(f.idx))
 	n, _ = clampSpan(words, n, 0)
 	var tally spanTally
+	nb := f.slots()
 	for j, u := range f.idx {
+		if k := int(u) - nb; k >= 0 {
+			m := f.big[k]
+			misses[j], _ = m.RunSampled(m.Start, words, n, pos[j], nil)
+			continue
+		}
 		ln := f.lane(int(u))
 		misses[j], _ = ln.sampled(f.start[u], words, n, pos[j], nil, &tally)
 	}
@@ -227,7 +281,7 @@ func (f *Fleet) RunSampled(words []uint64, n int, pos [][]int32) []int {
 // fleet: every machine steps on all n bits of the packed correctness
 // stream from its start state, and valid positions where the machine
 // predicts confident count toward its flagged / flaggedCorrect tallies
-// — BlockTable.ReplayGated for N machines, with structurally identical
+// — Machine.ReplayGated for N machines, with structurally identical
 // machines walked once and fanned out. runs is an optional run index
 // over the correct stream. Mismatched stream lengths (or n beyond their
 // capacity) are an explicit error, never a silent truncation.
@@ -236,14 +290,20 @@ func (f *Fleet) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (
 	if err != nil {
 		return nil, nil, err
 	}
-	uf := make([]int, f.nuniq)
-	ufc := make([]int, f.nuniq)
+	nb := f.slots()
+	uf := make([]int, nb+len(f.big))
+	ufc := make([]int, nb+len(f.big))
 	var tally spanTally
-	for u := range uf {
+	for u := 0; u < f.nuniq; u++ {
 		ln := f.lane(u)
 		uf[u], ufc[u] = ln.gated(f.start[u], correct, valid, n, runs, &tally)
 	}
 	tally.flush()
+	for k, m := range f.big {
+		if uf[nb+k], ufc[nb+k], err = m.ReplayGated(correct, valid, n, runs); err != nil {
+			return nil, nil, err
+		}
+	}
 	flagged = make([]int, len(f.idx))
 	flaggedCorrect = make([]int, len(f.idx))
 	for i, u := range f.idx {

@@ -212,19 +212,83 @@ func (m *Machine) SimulateScalar(trace []bool, skip int) SimResult {
 	return res
 }
 
+// SimulateBits is Simulate over a packed sequence: the hot entry point
+// for callers that already hold bit-packed outcomes (the serving
+// layer, the packed trace store), avoiding the []bool unpacking
+// entirely.
+func (m *Machine) SimulateBits(trace *bitseq.Bits, skip int) SimResult {
+	res, _ := m.RunFrom(m.Start, trace.Words(), trace.Len(), skip, nil)
+	return res
+}
+
+// The three packed walks below are the machine-level entry points of
+// the simulation engine, with the signatures of the BlockTable walks of
+// the same names. Each takes the machine's cached block table
+// (BlockTableFor) when it has one and the scalar reference walk when it
+// is over the table's state bound — the only place that bound is
+// decided. A scalar walk ignores the run index; results are
+// bit-identical either way. The machine must be valid.
+
+// RunFrom is BlockTable.RunFrom for any valid machine: replay n events
+// of the packed stream from state, the first skip unscored, returning
+// the tally and the exit state.
+func (m *Machine) RunFrom(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
+	if t := BlockTableFor(m); t != nil {
+		return t.RunFrom(state, words, n, skip, runs)
+	}
+	return m.runFromScalar(state, words, n, skip)
+}
+
+// RunSampled is BlockTable.RunSampled for any valid machine: advance
+// from state through all n events, scoring only the listed positions.
+func (m *Machine) RunSampled(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
+	if t := BlockTableFor(m); t != nil {
+		return t.RunSampled(state, words, n, pos, runs)
+	}
+	return m.RunSampledScalar(state, words, n, pos)
+}
+
+// ReplayGated is BlockTable.ReplayGated for any valid machine: the
+// confidence-estimator replay from the start state, with mismatched
+// streams an explicit error.
+func (m *Machine) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
+	if t := BlockTableFor(m); t != nil {
+		return t.ReplayGated(correct, valid, n, runs)
+	}
+	if n, err = checkGatedStreams(correct, valid, n); err != nil {
+		return 0, 0, err
+	}
+	flagged, flaggedCorrect = m.gatedScalar(correct, valid, n)
+	return flagged, flaggedCorrect, nil
+}
+
+// runFromScalar is the bit-at-a-time form of BlockTable.RunFrom — the
+// full walk's packed reference, equal to SimulateScalar on the unpacked
+// stream.
+func (m *Machine) runFromScalar(state int, words []uint64, n, skip int) (SimResult, int) {
+	n, skip = clampSpan(words, n, skip)
+	correct := 0
+	for i := 0; i < n; i++ {
+		b := words[i>>6]>>uint(i&63)&1 == 1
+		if i >= skip && m.Output[state] == b {
+			correct++
+		}
+		if b {
+			state = m.Next[state][1]
+		} else {
+			state = m.Next[state][0]
+		}
+	}
+	return SimResult{Total: n - skip, Correct: correct}, state
+}
+
 // RunSampledScalar is the bit-at-a-time form of BlockTable.RunSampled —
 // advance on every event of the packed stream from the given state,
 // score only the listed positions (strictly ascending, each in [0, n))
-// — kept as the sampled walk's reference and as the fallback for
-// machines over the block-table bound. n beyond the words' capacity is
-// clamped.
+// — the sampled walk's reference, taken by RunSampled for machines over
+// the block-table bound. n beyond the words' capacity is clamped.
 func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32) (misses, end int) {
-	if n < 0 {
-		n = 0
-	}
-	if max := len(words) << 6; n > max {
-		n = max
-	}
+	n, _ = clampSpan(words, n, 0)
 	c := 0
 	for i := 0; i < n; i++ {
 		b := words[i>>6]>>uint(i&63)&1 == 1
@@ -243,34 +307,23 @@ func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32
 	return misses, state
 }
 
-// SimulateBits is Simulate over a packed sequence: the hot entry point
-// for callers that already hold bit-packed outcomes (the serving
-// layer, the packed trace store), avoiding the []bool unpacking
-// entirely. Machines over the block-table bound take a scalar walk
-// over the packed bits, still without unpacking.
-func (m *Machine) SimulateBits(trace *bitseq.Bits, skip int) SimResult {
-	if t := BlockTableFor(m); t != nil {
-		res, _ := t.RunFrom(t.StartState(), trace.Words(), trace.Len(), skip, nil)
-		return res
-	}
-	state := m.Start
-	var res SimResult
-	n := trace.Len()
+// gatedScalar is the bit-at-a-time form of BlockTable.ReplayGated —
+// the gated mode's reference: step on every bit of the correctness
+// stream from the start state, tallying the valid positions the
+// machine flags confident. The streams must hold n bits.
+func (m *Machine) gatedScalar(correct, valid []uint64, n int) (flagged, flaggedCorrect int) {
+	s := m.Start
 	for i := 0; i < n; i++ {
-		b := trace.At(i)
-		if i >= skip {
-			res.Total++
-			if m.Output[state] == b {
-				res.Correct++
+		cb := correct[i>>6]>>uint(i&63)&1 == 1
+		if valid[i>>6]>>uint(i&63)&1 == 1 && m.Output[s] {
+			flagged++
+			if cb {
+				flaggedCorrect++
 			}
 		}
-		if b {
-			state = m.Next[state][1]
-		} else {
-			state = m.Next[state][0]
-		}
+		s = m.Step(s, cb)
 	}
-	return res
+	return flagged, flaggedCorrect
 }
 
 // SyncDepth analyzes the synchronization property (§7.6). It returns the

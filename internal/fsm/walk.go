@@ -20,7 +20,9 @@ import (
 //     (lane.gated).
 //
 // Every walker replays exactly the event sequence of the scalar
-// references (Machine.SimulateScalar, Machine.RunSampledScalar): the
+// references (Machine.SimulateScalar, Machine.RunSampledScalar,
+// Machine.gatedScalar), which also serve machines over the block-table
+// bound through the Machine walks (fsm.go): the
 // closure tables and span power tables are composed from the machine's
 // own 2-symbol step function, never re-derived, so the walks are
 // bit-identical by construction and by the package's differential

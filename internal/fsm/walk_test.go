@@ -12,7 +12,7 @@ import (
 // This file is the engine's differential suite: one matrix, one checker
 // per mode, one fuzz body. Every walk is compared against a scalar
 // reference — Machine.SimulateScalar and Machine.RunSampledScalar, and
-// for the gated mode the scalar loop gatedScalar below — never against
+// for the gated mode Machine.gatedScalar — never against
 // another kernel. The matrix axes are mode (full, sampled, gated) ×
 // surface (BlockTable methods, Fleet methods) × run index (none, real,
 // min-run-shifted) × fleet width (diffWidths) × ragged n (diffLens) ×
@@ -206,30 +206,12 @@ func (c *diffCase) check(t *testing.T, mode walkMode, fleet, fromState bool, kin
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantCorrect := gatedScalar(m, c.bits, c.valid, n)
+			want, wantCorrect := m.gatedScalar(c.bits.Words(), c.valid.Words(), n)
 			if got[j] != want || gotCorrect[j] != wantCorrect {
 				t.Fatalf("%s: gated (%d, %d), scalar (%d, %d)", where(j), got[j], gotCorrect[j], want, wantCorrect)
 			}
 		}
 	}
-}
-
-// gatedScalar is the gated mode's scalar reference: step on every
-// correctness bit from the start state; where valid is set and the
-// machine predicts 1, count flagged, and flaggedCorrect if correct.
-func gatedScalar(m *Machine, correct, valid *bitseq.Bits, n int) (flagged, flaggedCorrect int) {
-	s := m.Start
-	for i := 0; i < n; i++ {
-		cb := correct.At(i)
-		if valid.At(i) && m.Output[s] {
-			flagged++
-			if cb {
-				flaggedCorrect++
-			}
-		}
-		s = m.Step(s, cb)
-	}
-	return flagged, flaggedCorrect
 }
 
 // Full mode: BlockTable.RunFrom from the start state and from random

@@ -192,9 +192,13 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// compileBatch builds each genome's closure table, compiling every
 	// distinct structure once: duplicate cohort members (crossover
 	// copies, re-converged mutants) share a table by canonical-bytes
-	// identity, and the fleet pass then also walks them once.
+	// identity, and the fleet pass then also walks them once. It
+	// compiles directly rather than through the shared block cache: a
+	// search burns through thousands of transient machines that would
+	// evict the serving workload's entries. Generated genomes (<= 64
+	// valid states) always compile, so an error is a search bug.
 	var keyBuf []byte
-	compileBatch := func(batch []*genome) ([]*fsm.BlockTable, bool) {
+	compileBatch := func(batch []*genome) ([]*fsm.BlockTable, error) {
 		tabs := make([]*fsm.BlockTable, len(batch))
 		byKey := make(map[string]*fsm.BlockTable, len(batch))
 		for i, g := range batch {
@@ -205,34 +209,28 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			}
 			t, err := fsm.CompileBlockTable(g.m)
 			if err != nil {
-				return nil, false
+				return nil, fmt.Errorf("gasearch: genome: %v", err)
 			}
 			byKey[string(keyBuf)] = t
 			tabs[i] = t
 		}
-		return tabs, true
+		return tabs, nil
 	}
 
 	// evaluateAll is the exact evaluator: every genome's fitness is its
 	// full-trace miss rate.
-	evaluateAll := func(batch []*genome) {
+	evaluateAll := func(batch []*genome) error {
 		res.Evaluations += len(batch)
-		// Compile directly rather than through the shared block cache: a
-		// search burns through thousands of transient machines that
-		// would evict the serving workload's entries.
-		if tabs, ok := compileBatch(batch); ok {
-			fl := fsm.FleetOfTables(tabs)
-			rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
-			for i, g := range batch {
-				g.miss, g.exact = rs[i].MissRate(), true
-			}
-			return
+		tabs, err := compileBatch(batch)
+		if err != nil {
+			return err
 		}
-		// Unreachable for generated genomes (<= 64 valid states); score
-		// per genome defensively.
-		for _, g := range batch {
-			g.miss, g.exact = g.m.Simulate(trace, opt.Warmup).MissRate(), true
+		fl := fsm.FleetOfTables(tabs)
+		rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
+		for i, g := range batch {
+			g.miss, g.exact = rs[i].MissRate(), true
 		}
+		return nil
 	}
 
 	// Adaptive plumbing. The ladder is nil when the trace is too short
@@ -259,7 +257,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// scores at full fidelity. It returns how many distinct machines
 	// were raced and how many of those were pruned, for the traction
 	// tracker. Only exact misses enter the memo.
-	evaluateAdaptive := func(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int) {
+	evaluateAdaptive := func(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int, err error) {
 		res.Evaluations += len(batch)
 		type slot struct {
 			key fidelity.Key
@@ -291,23 +289,13 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			slots = append(slots, s)
 		}
 		if len(slots) == 0 {
-			return 0, 0
+			return 0, 0, nil
 		}
 		tabs := make([]*fsm.BlockTable, len(slots))
 		for i, s := range slots {
-			t, err := fsm.CompileBlockTable(s.gs[0].m)
-			if err != nil {
-				// Unreachable for generated genomes (<= 64 valid
-				// states); fall back to the scalar oracle defensively.
-				for _, sl := range slots {
-					for _, g := range sl.gs {
-						g.miss, g.exact = g.m.Simulate(trace, opt.Warmup).MissRate(), true
-						fidelity.MemoPut(sl.key, g.miss)
-					}
-				}
-				return 0, 0
+			if tabs[i], err = fsm.CompileBlockTable(s.gs[0].m); err != nil {
+				return 0, 0, fmt.Errorf("gasearch: genome: %v", err)
 			}
-			tabs[i] = t
 		}
 		if useLadder && ladder != nil {
 			// keep = Pool exactly: the racing bar is the Pool-th smallest
@@ -327,7 +315,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 					g.miss, g.exact = v.Miss, v.Exact
 				}
 			}
-			return len(slots), prunedN
+			return len(slots), prunedN, nil
 		}
 		var misses []float64
 		if ladder != nil {
@@ -346,7 +334,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 				g.miss, g.exact = misses[i], true
 			}
 		}
-		return 0, 0
+		return 0, 0, nil
 	}
 
 	// ensureTopExact upgrades every estimate in the sorted population's
@@ -356,7 +344,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// nothing inexact can enter the parent pool, become an elite, a
 	// reported per-generation best, or the champion. It terminates
 	// because genomes only ever move from estimate to exact.
-	ensureTopExact := func(pop []*genome, k int) {
+	ensureTopExact := func(pop []*genome, k int) error {
 		for {
 			var inexact []*genome
 			for _, g := range pop[:k] {
@@ -365,9 +353,11 @@ func Search(trace []bool, opt Options) (*Result, error) {
 				}
 			}
 			if len(inexact) == 0 {
-				return
+				return nil
 			}
-			evaluateAdaptive(inexact, nil, false)
+			if _, _, err := evaluateAdaptive(inexact, nil, false); err != nil {
+				return err
+			}
 			sortByFitness(pop)
 		}
 	}
@@ -381,11 +371,17 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// random population's spread dwarfs the window radius — this is where
 	// pruning bites hardest. ensureTopExact then settles the pool.
 	if opt.Adaptive {
-		evaluateAdaptive(pop, nil, ladder != nil)
+		if _, _, err := evaluateAdaptive(pop, nil, ladder != nil); err != nil {
+			return nil, err
+		}
 		sortByFitness(pop)
-		ensureTopExact(pop, opt.Pool)
+		if err := ensureTopExact(pop, opt.Pool); err != nil {
+			return nil, err
+		}
 	} else {
-		evaluateAll(pop)
+		if err := evaluateAll(pop); err != nil {
+			return nil, err
+		}
 		sortByFitness(pop)
 	}
 
@@ -416,7 +412,10 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			for i := 0; i < opt.Elite; i++ {
 				anchors[i] = pop[i].miss
 			}
-			raced, prunedN := evaluateAdaptive(next[opt.Elite:], anchors, useLadder)
+			raced, prunedN, err := evaluateAdaptive(next[opt.Elite:], anchors, useLadder)
+			if err != nil {
+				return nil, err
+			}
 			if useLadder && raced > 0 {
 				if prunedN*5 < raced {
 					lowTraction++
@@ -430,9 +429,13 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			// reads it: racing already escalated every plausible member,
 			// so this loop converges immediately unless a confidence
 			// bound was violated.
-			ensureTopExact(pop, opt.Pool)
+			if err := ensureTopExact(pop, opt.Pool); err != nil {
+				return nil, err
+			}
 		} else {
-			evaluateAll(next[opt.Elite:])
+			if err := evaluateAll(next[opt.Elite:]); err != nil {
+				return nil, err
+			}
 			pop = next
 			sortByFitness(pop)
 		}

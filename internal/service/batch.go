@@ -29,8 +29,7 @@ import (
 //     in one fsm.Fleet pass: the group's block tables are packed into
 //     one contiguous fleet, structurally identical machines dedup to a
 //     single walk, and the whole group advances through one trace read
-//     (machines without a block table fall back to their own scalar
-//     pass).
+//     (machines over the block-table bound included).
 //
 // The plane drains before the worker pool on Close: every batched
 // request accepted before shutdown still flushes and completes.
@@ -223,40 +222,35 @@ func (s *Service) flushDesigns(groupKey string, items []designItem) []batch.Outc
 }
 
 // flushSimulations executes one coalesced simulate group: every grouped
-// machine with a block table advances through ONE fleet pass over the
-// group's trace, with structurally identical machines deduped to a
-// single walk; machines over the block-table state bound fall back to
-// their own scalar replay.
+// machine advances through ONE fleet pass over the group's trace, with
+// structurally identical machines deduped to a single walk (machines
+// over the block-table state bound ride along on their scalar walks).
 func (s *Service) flushSimulations(key string, items []simItem) []batch.Outcome[fsm.SimResult] {
 	outs := make([]batch.Outcome[fsm.SimResult], len(items))
 	tr, skip := items[0].trace, items[0].skip
-	tabs := make([]*fsm.BlockTable, 0, len(items))
-	idxs := make([]int, 0, len(items))
+	machines := make([]*fsm.Machine, len(items))
 	for i, it := range items {
 		s.met.simulations.Inc()
-		if t := fsm.BlockTableFor(it.m); t != nil {
-			tabs = append(tabs, t)
-			idxs = append(idxs, i)
-		} else {
-			outs[i].Val = it.m.SimulateBits(tr, skip)
-			s.batch.simPasses.Inc()
-		}
+		machines[i] = it.m
 	}
-	if len(tabs) > 0 {
-		fl := fsm.FleetOfTables(tabs)
-		// One run scan per flush, amortized over every machine in the
-		// group — the span kernel then skips each homogeneous stretch
-		// once per unique machine instead of walking it byte by byte.
-		runs := bitseq.Runs(tr.Words(), tr.Len(), bitseq.DefaultMinRunBytes)
-		res := fl.RunParallelSpans(1, tr.Words(), tr.Len(), skip, runs)
-		for k, i := range idxs {
-			outs[i].Val = res[k]
+	fl, err := fsm.NewFleet(machines)
+	if err != nil {
+		for i := range outs {
+			outs[i].Err = err
 		}
-		s.batch.simPasses.Inc()
-		s.batch.fleetPasses.Inc()
-		s.batch.fleetMachines.Add(uint64(fl.Len()))
-		s.batch.fleetDeduped.Add(uint64(fl.Deduped()))
-		s.batch.fleetBytes.Add(uint64(fl.Len()) * uint64((tr.Len()+7)/8))
+		return outs
 	}
+	// One run scan per flush, amortized over every machine in the group
+	// — the span kernel then skips each homogeneous stretch once per
+	// unique machine instead of walking it byte by byte.
+	runs := bitseq.Runs(tr.Words(), tr.Len(), bitseq.DefaultMinRunBytes)
+	for i, r := range fl.RunParallelSpans(1, tr.Words(), tr.Len(), skip, runs) {
+		outs[i].Val = r
+	}
+	s.batch.simPasses.Inc()
+	s.batch.fleetPasses.Inc()
+	s.batch.fleetMachines.Add(uint64(fl.Len()))
+	s.batch.fleetDeduped.Add(uint64(fl.Deduped()))
+	s.batch.fleetBytes.Add(uint64(fl.Len()) * uint64((tr.Len()+7)/8))
 	return outs
 }

@@ -183,6 +183,58 @@ func TestSimulateBatchGroupedPass(t *testing.T) {
 	}
 }
 
+// TestSimulateBatchMixedStateBound aims a group mixing table machines
+// with machines over the block-table bound (257 states) at one trace:
+// every request must get the unary Simulate result, and the whole group
+// must run as one fleet pass.
+func TestSimulateBatchMixedStateBound(t *testing.T) {
+	padded := counterMachine(4)
+	for s := padded.NumStates(); s < 257; s++ {
+		padded.Output = append(padded.Output, s%2 == 0)
+		padded.Next = append(padded.Next, [2]int{s, 0})
+	}
+	ms := []*fsm.Machine{counterMachine(2), padded, counterMachine(3), counterMachine(257)}
+	s := New(Config{Workers: 2, BatchMaxSize: len(ms), BatchMaxWait: time.Hour})
+	defer s.Close()
+	bits, err := bitseq.FromString(paperTrace + " " + paperTrace + " " + paperTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]fsm.SimResult, len(ms))
+	errs := make([]error, len(ms))
+	for i := range ms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = s.SimulateBatch(context.Background(), ms[i], bits, 3, "mixed-group")
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range ms {
+		if errs[i] != nil {
+			t.Fatalf("machine %d: %v", i, errs[i])
+		}
+		want, err := s.Simulate(m, bits, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("machine %d (%d states): batch %+v, unary %+v", i, m.NumStates(), got[i], want)
+		}
+	}
+	metric := func(name string) uint64 { return s.registry.Counter(name).Value() }
+	if p := metric("fsmpredict_fleet_passes_total"); p != 1 {
+		t.Errorf("fleet passes = %d, want 1", p)
+	}
+	if p := metric("fsmpredict_batch_simulate_passes_total"); p != 1 {
+		t.Errorf("simulate passes = %d, want 1", p)
+	}
+	if n := metric("fsmpredict_fleet_machines_total"); n != uint64(len(ms)) {
+		t.Errorf("fleet machines = %d, want %d", n, len(ms))
+	}
+}
+
 // TestSimulateBatchFleetDedup aims a group holding structural duplicates
 // at one trace: every request still gets its own (correct) result, but
 // the fleet walks each distinct machine once and the /metrics counters
