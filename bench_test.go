@@ -20,6 +20,7 @@ import (
 	"fsmpredict/internal/confidence"
 	"fsmpredict/internal/counters"
 	"fsmpredict/internal/experiments"
+	"fsmpredict/internal/fidelity"
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/gasearch"
 	"fsmpredict/internal/gating"
@@ -260,6 +261,8 @@ func BenchmarkSearchVsDesigner(b *testing.B) {
 	b.Run("ga", func(b *testing.B) {
 		var miss float64
 		for i := 0; i < b.N; i++ {
+			// A cold fitness memo each iteration, so every one searches.
+			fidelity.ResetMemo()
 			res, err := gasearch.Search(trace, gasearch.Options{
 				States: 8, Population: 60, Generations: 60, Seed: 3, Warmup: 3,
 			})
@@ -273,21 +276,27 @@ func BenchmarkSearchVsDesigner(b *testing.B) {
 }
 
 // BenchmarkPPMBaseline runs the Chen et al. PPM predictor (§3.2) over the
-// branch suite for comparison with Figure 5's architectures.
+// branch suite on Figure 5's test input, at the orders EXPERIMENTS.md
+// compares against Figure 5's architectures, and reports each one's miss
+// rate and area.
 func BenchmarkPPMBaseline(b *testing.B) {
-	for _, prog := range []string{"gsm", "ijpeg", "vortex"} {
-		b.Run(prog, func(b *testing.B) {
-			p, err := workload.ByName(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events := p.Generate(workload.Test, 100_000)
-			var miss float64
-			for i := 0; i < b.N; i++ {
-				miss = bpred.Run(bpred.NewPPM(10), events).MissRate()
-			}
-			b.ReportMetric(miss, "ppm-miss")
-		})
+	n := experiments.DefaultConfig().BranchEvents
+	for _, prog := range workload.BranchSuite() {
+		events := prog.Generate(workload.Test, n)
+		for _, order := range []int{6, 8, 10, 12} {
+			b.Run(prog.Name+"/order="+strconv.Itoa(order), func(b *testing.B) {
+				var (
+					p    *bpred.PPM
+					miss float64
+				)
+				for i := 0; i < b.N; i++ {
+					p = bpred.NewPPM(order)
+					miss = bpred.Run(p, events).MissRate()
+				}
+				b.ReportMetric(miss, "miss-rate")
+				b.ReportMetric(p.Area(), "area-GE")
+			})
+		}
 	}
 }
 

@@ -120,12 +120,8 @@ func TestCommandLineBadFlagsExitTwo(t *testing.T) {
 		{"tracegen", []string{"-bench", "nosuchbench"}},
 		{"tracegen", []string{"-bench", "ijpeg", "-n", "-5"}},
 		{"tracegen", []string{"-bench", "gcc", "-loads", "-simpoint"}},
-		{"areabench", []string{"-sample", "2.0"}},
-		{"areabench", []string{"-n", "0"}},
-		{"branchbench", []string{"-prog", "nosuch"}},
-		{"branchbench", []string{"-n", "-1"}},
-		{"confbench", []string{"-prog", "nosuch"}},
-		{"confbench", []string{"-n", "0"}},
+		{"paperrun", []string{}}, // missing -grid and -out
+		{"paperrun", []string{"-grid", "g.json", "-out", "out", "-require-disk-hits"}},
 		{"fsmserved", []string{"-workers", "-3"}},
 		{"fsmserved", []string{"-timeout", "-1s"}},
 		// The flag package's own unknown-flag path must agree.

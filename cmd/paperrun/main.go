@@ -45,6 +45,7 @@ import (
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/stats"
 	"fsmpredict/internal/tracestore"
+	"fsmpredict/internal/workload"
 )
 
 // grid is the experiment-grid file format.
@@ -59,11 +60,59 @@ type grid struct {
 	// Figure5Programs are branch benchmarks (compress, gs, gsm, g721,
 	// ijpeg, vortex).
 	Figure5Programs []string `json:"figure5_programs"`
-	// Figure4SampleFrac is the synthesis sample fraction (0 -> 0.1).
+	// Figure4SampleFrac is the synthesis sample fraction in [0,1]
+	// (0 -> 0.1).
 	Figure4SampleFrac float64 `json:"figure4_sample_frac"`
 	// Scale overrides experiments.DefaultConfig; zero fields keep the
-	// paper-scale defaults.
+	// paper-scale defaults, negative ones are rejected.
 	Scale gridScale `json:"scale"`
+}
+
+// validate rejects a grid that names no figures or an unknown figure
+// or program, or carries an out-of-range value, before any work starts.
+func (g grid) validate() error {
+	if len(g.Figures) == 0 {
+		return fmt.Errorf("lists no figures")
+	}
+	for _, f := range g.Figures {
+		switch f {
+		case "figure2", "figure4", "figure5", "figure6", "figure7":
+		default:
+			return fmt.Errorf("unknown figure %q", f)
+		}
+	}
+	for _, p := range g.Figure2Programs {
+		if _, err := workload.LoadByName(p); err != nil {
+			return err
+		}
+	}
+	for _, p := range g.Figure5Programs {
+		if _, err := workload.ByName(p); err != nil {
+			return err
+		}
+	}
+	if f := g.Figure4SampleFrac; f < 0 || f > 1 {
+		return fmt.Errorf("figure4_sample_frac %v out of range [0,1]", f)
+	}
+	s := g.Scale
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"branch_events", s.BranchEvents}, {"load_events", s.LoadEvents},
+		{"max_custom", s.MaxCustom}, {"order", s.Order},
+		{"table_log2", s.TableLog2}, {"workers", s.Workers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scale.%s %d is negative", f.name, f.v)
+		}
+	}
+	for _, h := range s.Histories {
+		if h < 0 {
+			return fmt.Errorf("scale.histories entry %d is negative", h)
+		}
+	}
+	return nil
 }
 
 type gridScale struct {
@@ -157,15 +206,8 @@ func run(o options) (*runResult, error) {
 	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("parsing grid %s: %v", o.grid, err)
 	}
-	if len(g.Figures) == 0 {
-		return nil, fmt.Errorf("grid %s lists no figures", o.grid)
-	}
-	for _, f := range g.Figures {
-		switch f {
-		case "figure2", "figure4", "figure5", "figure6", "figure7":
-		default:
-			return nil, fmt.Errorf("grid %s: unknown figure %q", o.grid, f)
-		}
+	if err := g.validate(); err != nil {
+		return nil, fmt.Errorf("grid %s: %v", o.grid, err)
 	}
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return nil, err

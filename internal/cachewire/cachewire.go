@@ -3,8 +3,9 @@
 // process-wide in-memory cache (the fsm block-table cache and the
 // shared trace store), returning the store so callers can also hand it
 // to service.Config.Disk and the peer-warming endpoints. The CLIs that
-// expose -cache-dir/-cache-size all funnel through here, so the four
-// artifact producers always agree on one store.
+// expose -cache-dir/-cache-size (fsmserved, paperrun, loadgen) all
+// funnel through here, so the four artifact producers always agree on
+// one store.
 package cachewire
 
 import (
@@ -34,20 +35,6 @@ func Setup(dir string, maxBytes int64) (*disktier.Store, error) {
 	tracestore.Shared.SetDisk(d)
 	fidelity.SetDiskTier(d)
 	return d, nil
-}
-
-// SetupSized is the flag-value form of Setup: it parses the -cache-size
-// string and rejects a size without a directory, so every CLI's flag
-// validation is one call.
-func SetupSized(dir, size string) (*disktier.Store, error) {
-	maxBytes, err := ParseSize(size)
-	if err != nil {
-		return nil, err
-	}
-	if dir == "" && size != "" {
-		return nil, fmt.Errorf("cachewire: -cache-size requires -cache-dir")
-	}
-	return Setup(dir, maxBytes)
 }
 
 // ParseSize parses a human byte size for the -cache-size flag: a plain

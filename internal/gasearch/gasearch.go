@@ -7,16 +7,17 @@
 // machines against the trace; this package provides that baseline so the
 // claim can be measured (see the BenchmarkSearchVsDesigner ablation).
 //
-// Two evaluators share the search loop. The exact evaluator scores
-// every genome on the full trace in one fleet pass per cohort and is
-// the differential oracle. The adaptive evaluator (Options.Adaptive)
-// races cohorts through the fidelity ladder — representative windows
-// first, escalating statistical survivors to exact full-trace scoring —
-// and memoizes every exact score by machine structure, so duplicate
-// cohort members, re-emitted children, and repeat searches over the
-// same trace never re-simulate. Estimates only ever steer selection
-// pressure: every elite slot, and therefore the reported Best and
-// BestMissRate, is re-scored at full fidelity before it is trusted.
+// One evaluator scores every cohort. Each genome is looked up in the
+// persistent fitness memo by machine structure, structurally identical
+// cohort members share one evaluation, and the remaining distinct
+// machines are scored exactly on the full trace in one fleet pass, so
+// re-emitted children and repeat searches over the same trace never
+// re-simulate. Options.Adaptive adds the fidelity ladder in front of
+// the fleet pass: cohorts race through representative windows first,
+// and only statistical survivors escalate to exact full-trace scoring.
+// Estimates only ever steer selection pressure: every elite slot, and
+// therefore the reported Best and BestMissRate, is re-scored at full
+// fidelity before it is trusted, and only exact scores enter the memo.
 package gasearch
 
 import (
@@ -59,11 +60,11 @@ type Options struct {
 	// machine chunks over (<= 0 means GOMAXPROCS). Fleet chunks are
 	// independent, so results are bit-identical for any setting.
 	Workers int
-	// Adaptive enables staged-fidelity candidate racing with the
-	// persistent fitness memo (internal/fidelity). Default off — the
-	// exact evaluator is the differential oracle the adaptive path is
-	// tested against. Best and BestMissRate are always exact full-trace
-	// values in either mode.
+	// Adaptive enables staged-fidelity candidate racing through the
+	// fidelity ladder (internal/fidelity). Default off — exact mode
+	// scores every genome at full fidelity and is the differential
+	// oracle the racer is tested against. Both modes share the fitness
+	// memo, and Best and BestMissRate are always exact full-trace values.
 	Adaptive bool
 }
 
@@ -113,8 +114,9 @@ func (o Options) validate() error {
 	return nil
 }
 
-// RacingStats reports the adaptive evaluator's activity for one search
-// (all zero when Adaptive is off).
+// RacingStats reports the evaluator's activity for one search. The
+// ladder fields (LadderUsed, RungEvals, Pruned, Escalated) stay zero
+// when Adaptive is off; MemoHits and Deduped count in both modes.
 type RacingStats struct {
 	// LadderUsed reports whether the trace was long enough for the
 	// staged ladder (short traces score exact even in adaptive mode).
@@ -143,7 +145,7 @@ type Result struct {
 	// Evaluations counts fitness evaluations requested, including those
 	// served by the memo or folded into a duplicate's score.
 	Evaluations int
-	// Racing describes the adaptive evaluator's work.
+	// Racing describes the evaluator's memo, dedup and ladder work.
 	Racing RacingStats
 }
 
@@ -151,12 +153,12 @@ type genome struct {
 	m    *fsm.Machine
 	miss float64
 	// exact reports whether miss is a full-fidelity measurement rather
-	// than a ladder estimate. The exact evaluator always sets it.
+	// than a ladder estimate. Exact mode always sets it.
 	exact bool
 }
 
 // tractionPatience is how many consecutive low-pruning generations the
-// adaptive evaluator tolerates before abandoning the ladder for the
+// adaptive search tolerates before abandoning the ladder for the
 // rest of the search (the memo and cohort dedup keep working): on
 // workloads where the confidence bounds never separate candidates,
 // racing is pure overhead and the honest move is to stop.
@@ -189,59 +191,12 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// changes, so the span kernel's index is hoisted out of the loop.
 	runs := bitseq.Runs(words, n, bitseq.DefaultMinRunBytes)
 
-	// compileBatch builds each genome's closure table, compiling every
-	// distinct structure once: duplicate cohort members (crossover
-	// copies, re-converged mutants) share a table by canonical-bytes
-	// identity, and the fleet pass then also walks them once. It
-	// compiles directly rather than through the shared block cache: a
-	// search burns through thousands of transient machines that would
-	// evict the serving workload's entries. Generated genomes (<= 64
-	// valid states) always compile, so an error is a search bug.
-	var keyBuf []byte
-	compileBatch := func(batch []*genome) ([]*fsm.BlockTable, error) {
-		tabs := make([]*fsm.BlockTable, len(batch))
-		byKey := make(map[string]*fsm.BlockTable, len(batch))
-		for i, g := range batch {
-			keyBuf = g.m.AppendCanonical(keyBuf[:0])
-			if t, ok := byKey[string(keyBuf)]; ok {
-				tabs[i] = t
-				continue
-			}
-			t, err := fsm.CompileBlockTable(g.m)
-			if err != nil {
-				return nil, fmt.Errorf("gasearch: genome: %v", err)
-			}
-			byKey[string(keyBuf)] = t
-			tabs[i] = t
-		}
-		return tabs, nil
-	}
-
-	// evaluateAll is the exact evaluator: every genome's fitness is its
-	// full-trace miss rate.
-	evaluateAll := func(batch []*genome) error {
-		res.Evaluations += len(batch)
-		tabs, err := compileBatch(batch)
-		if err != nil {
-			return err
-		}
-		fl := fsm.FleetOfTables(tabs)
-		rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
-		for i, g := range batch {
-			g.miss, g.exact = rs[i].MissRate(), true
-		}
-		return nil
-	}
-
-	// Adaptive plumbing. The ladder is nil when the trace is too short
-	// to stage, in which case adaptive mode degenerates to exact
-	// scoring through the memo — same fitness values, same trajectory.
-	var (
-		ladder *fidelity.Ladder
-		digest fidelity.Key
-	)
+	// The ladder is nil in exact mode, and in adaptive mode when the
+	// trace is too short to stage; every genome is then scored exactly
+	// through the memo — same fitness values, same trajectory.
+	digest := fidelity.TraceDigest(words, n)
+	var ladder *fidelity.Ladder
 	if opt.Adaptive {
-		digest = fidelity.TraceDigest(words, n)
 		ladder = fidelity.NewLadder(words, n, runs, fidelity.LadderConfig{
 			Warmup:  opt.Warmup,
 			Workers: opt.Workers,
@@ -250,14 +205,19 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		res.Racing.LadderUsed = ladder != nil
 	}
 
-	// evaluateAdaptive scores a cohort through memo, dedup, and — when
-	// useLadder — the staged ladder, racing for the cohort's top-Pool
-	// slots against the anchors (the carried elites' exact misses, which
-	// compete for the same slots). With useLadder false everything
-	// scores at full fidelity. It returns how many distinct machines
-	// were raced and how many of those were pruned, for the traction
-	// tracker. Only exact misses enter the memo.
-	evaluateAdaptive := func(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int, err error) {
+	// evaluate scores a cohort through the fitness memo, structural
+	// dedup (duplicate cohort members — crossover copies, re-converged
+	// mutants — share one evaluation), and — when useLadder — the staged
+	// ladder, racing for the cohort's top-Pool slots against the anchors
+	// (the carried elites' exact misses, which compete for the same
+	// slots). With useLadder false every distinct structure scores at
+	// full fidelity in one fleet pass. Tables compile directly rather
+	// than through the shared block cache: a search burns through
+	// thousands of transient machines that would evict the serving
+	// workload's entries. It returns how many distinct machines were
+	// raced and how many of those were pruned, for the traction tracker.
+	// Only exact misses enter the memo.
+	evaluate := func(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int, err error) {
 		res.Evaluations += len(batch)
 		type slot struct {
 			key fidelity.Key
@@ -355,7 +315,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			if len(inexact) == 0 {
 				return nil
 			}
-			if _, _, err := evaluateAdaptive(inexact, nil, false); err != nil {
+			if _, _, err := evaluate(inexact, nil, false); err != nil {
 				return err
 			}
 			sortByFitness(pop)
@@ -370,19 +330,12 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// first parent pool, so losers can keep windowed estimates, and a
 	// random population's spread dwarfs the window radius — this is where
 	// pruning bites hardest. ensureTopExact then settles the pool.
-	if opt.Adaptive {
-		if _, _, err := evaluateAdaptive(pop, nil, ladder != nil); err != nil {
-			return nil, err
-		}
-		sortByFitness(pop)
-		if err := ensureTopExact(pop, opt.Pool); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := evaluateAll(pop); err != nil {
-			return nil, err
-		}
-		sortByFitness(pop)
+	if _, _, err := evaluate(pop, nil, ladder != nil); err != nil {
+		return nil, err
+	}
+	sortByFitness(pop)
+	if err := ensureTopExact(pop, opt.Pool); err != nil {
+		return nil, err
 	}
 
 	lowTraction := 0
@@ -403,41 +356,33 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			mutate(rng, child.m, opt.MutationRate)
 			next = append(next, child)
 		}
-		if opt.Adaptive {
-			// The carried elites anchor the racing bar (they hold pool
-			// slots with exact scores), and the ladder is dropped for
-			// good once pruning shows no traction for a few generations.
-			useLadder := ladder != nil && lowTraction < tractionPatience
-			anchors := make([]float64, opt.Elite)
-			for i := 0; i < opt.Elite; i++ {
-				anchors[i] = pop[i].miss
+		// The carried elites anchor the racing bar (they hold pool slots
+		// with exact scores), and the ladder is dropped for good once
+		// pruning shows no traction for a few generations.
+		useLadder := ladder != nil && lowTraction < tractionPatience
+		anchors := make([]float64, opt.Elite)
+		for i := 0; i < opt.Elite; i++ {
+			anchors[i] = pop[i].miss
+		}
+		raced, prunedN, err := evaluate(next[opt.Elite:], anchors, useLadder)
+		if err != nil {
+			return nil, err
+		}
+		if useLadder && raced > 0 {
+			if prunedN*5 < raced {
+				lowTraction++
+			} else {
+				lowTraction = 0
 			}
-			raced, prunedN, err := evaluateAdaptive(next[opt.Elite:], anchors, useLadder)
-			if err != nil {
-				return nil, err
-			}
-			if useLadder && raced > 0 {
-				if prunedN*5 < raced {
-					lowTraction++
-				} else {
-					lowTraction = 0
-				}
-			}
-			pop = next
-			sortByFitness(pop)
-			// The whole next parent pool must be exact before anything
-			// reads it: racing already escalated every plausible member,
-			// so this loop converges immediately unless a confidence
-			// bound was violated.
-			if err := ensureTopExact(pop, opt.Pool); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := evaluateAll(next[opt.Elite:]); err != nil {
-				return nil, err
-			}
-			pop = next
-			sortByFitness(pop)
+		}
+		pop = next
+		sortByFitness(pop)
+		// The whole next parent pool must be exact before anything reads
+		// it: racing already escalated every plausible member, so this
+		// loop converges immediately unless a confidence bound was
+		// violated.
+		if err := ensureTopExact(pop, opt.Pool); err != nil {
+			return nil, err
 		}
 		res.PerGeneration = append(res.PerGeneration, pop[0].miss)
 	}

@@ -58,10 +58,14 @@ func TestSearchMonotoneUnderElitism(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	trace := alternatingTrace(300)
 	opt := Options{States: 4, Population: 30, Generations: 10, Seed: 7, Warmup: 2}
+	// Each run starts from a cold fitness memo, so the second one
+	// re-simulates rather than replaying the first one's scores.
+	fidelity.ResetMemo()
 	a, err := Search(trace, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fidelity.ResetMemo()
 	b, err := Search(trace, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +132,8 @@ func TestDesignerMatchesSearchQuality(t *testing.T) {
 // must score exactly their reported miss rate under
 // Machine.SimulateScalar. A search cut after g generations replays the
 // full search's first g generations (evaluation draws no randomness),
-// so its champion is the full search's generation-g best.
+// so its champion is the full search's generation-g best. Every search
+// starts from a cold fitness memo so each one walks the fleet kernel.
 func TestSearchKernelOnOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	trace := make([]bool, 1500)
@@ -136,6 +141,7 @@ func TestSearchKernelOnOffIdentical(t *testing.T) {
 		trace[i] = i%5 < 3 || rng.Intn(4) == 0
 	}
 	opt := Options{States: 6, Population: 24, Generations: 12, Seed: 9, Warmup: 5}
+	fidelity.ResetMemo()
 	full, err := Search(trace, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +152,7 @@ func TestSearchKernelOnOffIdentical(t *testing.T) {
 	for g := 1; g <= opt.Generations; g++ {
 		cut := opt
 		cut.Generations = g
+		fidelity.ResetMemo()
 		res, err := Search(trace, cut)
 		if err != nil {
 			t.Fatal(err)
@@ -160,16 +167,19 @@ func TestSearchKernelOnOffIdentical(t *testing.T) {
 }
 
 // TestSearchWorkersInvariant checks that sharding the fleet evaluation
-// across goroutines does not change the search trajectory.
+// across goroutines does not change the search trajectory. Both runs
+// start from a cold fitness memo, or the second would be memo-served.
 func TestSearchWorkersInvariant(t *testing.T) {
 	trace := alternatingTrace(800)
 	base := Options{States: 4, Population: 20, Generations: 8, Seed: 13, Warmup: 2}
+	fidelity.ResetMemo()
 	seq, err := Search(trace, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.Workers = 4
+	fidelity.ResetMemo()
 	got, err := Search(trace, par)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +191,7 @@ func TestSearchWorkersInvariant(t *testing.T) {
 
 // BenchmarkGASearch measures a full search with population-batched
 // fleet evaluation — the wall-clock headline for the search side of the
-// fleet kernel.
+// fleet kernel. Every iteration starts from a cold fitness memo.
 func BenchmarkGASearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	trace := make([]bool, 1<<15)
@@ -197,6 +207,7 @@ func BenchmarkGASearch(b *testing.B) {
 	b.Run("fleet", func(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
+			fidelity.ResetMemo()
 			if _, err := Search(trace, opt); err != nil {
 				b.Fatal(err)
 			}
@@ -300,6 +311,7 @@ func TestSearchAdaptiveShortTraceTrajectoryIdentical(t *testing.T) {
 		trace[i] = i%6 < 4 || rng.Intn(3) == 0
 	}
 	opt := Options{States: 6, Population: 24, Generations: 10, Seed: 3, Warmup: 4}
+	fidelity.ResetMemo()
 	exact, err := Search(trace, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -327,27 +339,60 @@ func TestSearchAdaptiveShortTraceTrajectoryIdentical(t *testing.T) {
 
 // TestSearchAdaptiveMemoWarm: a repeat search over the same trace must
 // draw on the fitness memo (the whole point of persisting exact scores)
-// and still return the identical result.
+// and still return the identical result, in both modes. Exact mode
+// scores every genome exactly either way, so its warm repeat must also
+// replay the cold run's trajectory and evaluation count, and it must
+// never touch the ladder.
 func TestSearchAdaptiveMemoWarm(t *testing.T) {
 	trace := workloadTrace(t, "gsm", 1<<16)
-	opt := Options{States: 8, Population: 40, Generations: 12, Seed: 29, Warmup: 64, Adaptive: true}
-	fidelity.ResetMemo()
-	cold, err := Search(trace, opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, adaptive := range []bool{false, true} {
+		t.Run(modeName(adaptive), func(t *testing.T) {
+			opt := Options{States: 8, Population: 40, Generations: 12, Seed: 29, Warmup: 64, Adaptive: adaptive}
+			fidelity.ResetMemo()
+			cold, err := Search(trace, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := Search(trace, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Racing.MemoHits == 0 {
+				t.Fatal("repeat search hit the memo zero times")
+			}
+			if warm.Racing.MemoHits <= cold.Racing.MemoHits {
+				t.Fatalf("warm memo hits %d not above cold %d", warm.Racing.MemoHits, cold.Racing.MemoHits)
+			}
+			if fsm.CompareStructural(cold.Best, warm.Best) != 0 || cold.BestMissRate != warm.BestMissRate {
+				t.Fatal("memo warm-start changed the result")
+			}
+			if adaptive {
+				return
+			}
+			if !reflect.DeepEqual(cold.PerGeneration, warm.PerGeneration) || cold.Evaluations != warm.Evaluations {
+				t.Fatalf("memo warm-start changed the exact trajectory:\ncold: %v (%d evals)\nwarm: %v (%d evals)",
+					cold.PerGeneration, cold.Evaluations, warm.PerGeneration, warm.Evaluations)
+			}
+			for _, r := range []*Result{cold, warm} {
+				checkNoLadder(t, r.Racing)
+			}
+		})
 	}
-	warm, err := Search(trace, opt)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// modeName labels a per-mode subtest.
+func modeName(adaptive bool) string {
+	if adaptive {
+		return "adaptive"
 	}
-	if warm.Racing.MemoHits == 0 {
-		t.Fatal("repeat search hit the memo zero times")
-	}
-	if warm.Racing.MemoHits <= cold.Racing.MemoHits {
-		t.Fatalf("warm memo hits %d not above cold %d", warm.Racing.MemoHits, cold.Racing.MemoHits)
-	}
-	if fsm.CompareStructural(cold.Best, warm.Best) != 0 || cold.BestMissRate != warm.BestMissRate {
-		t.Fatal("memo warm-start changed the result")
+	return "exact"
+}
+
+// checkNoLadder fails if an exact-mode search reports ladder activity.
+func checkNoLadder(t *testing.T, rc RacingStats) {
+	t.Helper()
+	if rc.LadderUsed || rc.RungEvals != 0 || rc.Pruned != 0 || rc.Escalated != 0 {
+		t.Fatalf("exact search touched the ladder: %+v", rc)
 	}
 }
 
@@ -377,20 +422,27 @@ func TestSortByFitnessStructuralTieBreak(t *testing.T) {
 }
 
 // TestSearchDedupSharesEvaluations: structurally identical cohort
-// members must share one evaluation in the adaptive path.
+// members must share one evaluation, in both modes.
 func TestSearchDedupSharesEvaluations(t *testing.T) {
 	trace := workloadTrace(t, "gsm", 1<<16)
-	fidelity.ResetMemo()
-	res, err := Search(trace, Options{
-		// A tiny state space with heavy elitism converges to duplicate
-		// genomes quickly.
-		States: 2, Population: 32, Generations: 10, Seed: 2, Warmup: 64, Adaptive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Racing.Deduped == 0 && res.Racing.MemoHits == 0 {
-		t.Fatal("no dedup and no memo hits on a 2-state search")
+	for _, adaptive := range []bool{false, true} {
+		t.Run(modeName(adaptive), func(t *testing.T) {
+			fidelity.ResetMemo()
+			res, err := Search(trace, Options{
+				// A tiny state space with heavy elitism converges to
+				// duplicate genomes quickly.
+				States: 2, Population: 32, Generations: 10, Seed: 2, Warmup: 64, Adaptive: adaptive,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Racing.Deduped == 0 && res.Racing.MemoHits == 0 {
+				t.Fatal("no dedup and no memo hits on a 2-state search")
+			}
+			if !adaptive {
+				checkNoLadder(t, res.Racing)
+			}
+		})
 	}
 }
 
@@ -405,6 +457,7 @@ func BenchmarkSearchAdaptive(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
+			fidelity.ResetMemo()
 			if _, err := Search(trace, opt); err != nil {
 				b.Fatal(err)
 			}

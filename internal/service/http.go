@@ -157,7 +157,8 @@ func (o SearchOptionsJSON) Options() (gasearch.Options, error) {
 }
 
 // SearchResponse is the wire form of a search result. The racing block
-// reports the adaptive evaluator's activity (all zero in exact mode).
+// reports the evaluator's activity: memo hits and dedup count in both
+// modes, the ladder fields stay zero in exact mode.
 type SearchResponse struct {
 	// Machine is the champion in the canonical JSON encoding.
 	Machine *fsm.Machine `json:"machine"`

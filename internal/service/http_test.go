@@ -197,7 +197,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestHTTPSearchModes drives POST /v1/search through both evaluator
 // modes on the same trace and seed: the adaptive racer must return the
-// exact evaluator's champion and miss rate (the endpoint-level face of
+// exact mode's champion and miss rate (the endpoint-level face of
 // the gasearch differential contract), and the fidelity counters must
 // land on /metrics.
 func TestHTTPSearchModes(t *testing.T) {
