@@ -59,7 +59,7 @@ group "disk tier corruption + concurrency" \
 	'TestCorruption|TestConcurrentReadersWritersCorruption|TestStoreDiskTier|TestDesignDiskTier|TestBlockTableDiskTier|TestEviction' \
 	./internal/disktier/ ./internal/tracestore/ ./internal/service/ ./internal/fsm/
 group "fitness memo corruption + concurrent adaptive search" \
-	'TestMemoDiskTierAndCorruption|TestMemoConcurrency|TestSweepRoundTripDiskTier|TestSearchAdaptiveMemoWarm|TestSearchDedupSharesEvaluations|TestHTTPSearchModes' \
+	'TestMemoDiskTierAndCorruption|TestMemoConcurrency|TestSweepRoundTripDiskTier|TestSearchAdaptiveMemoWarm|TestSearchDedupSharesEvaluations|TestEvaluateUnreachableVariantNoWalk|TestHTTPSearchModes' \
 	./internal/fidelity/ ./internal/gasearch/ ./internal/service/
 
 exit $failed

@@ -13,7 +13,6 @@ package dfa
 
 import (
 	"fmt"
-	"sort"
 
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/nfa"
@@ -190,16 +189,17 @@ func (d *DFA) Canonicalize() *DFA { return d.trimUnreachable() }
 
 // Minimize removes unreachable states and merges equivalent ones using
 // Hopcroft's partition-refinement algorithm, then renumbers canonically.
+// It neither modifies d nor retains any of its slices.
 func (d *DFA) Minimize() *DFA {
 	t := d.trimUnreachable()
 	n := t.NumStates()
 
-	// Initial partition: accepting vs non-accepting. Blocks hold their
-	// states in ascending order (splits preserve it), so blocks[i][0] is
-	// the block minimum used for the final canonical ordering.
+	// Initial partition: accepting vs non-accepting. Block ids and the
+	// order of states inside a block are arbitrary: the final BFS
+	// renumbering makes the result canonical.
 	block := make([]int, n)
 	var blocks [][]int
-	var accSt, rejSt []int
+	accSt, rejSt := make([]int, 0, n), make([]int, 0, n)
 	for s := 0; s < n; s++ {
 		if t.Accept[s] {
 			accSt = append(accSt, s)
@@ -297,14 +297,18 @@ func (d *DFA) Minimize() *DFA {
 		touched.Reset(n)
 		inX.ForEach(func(p int) { touched.Add(block[p]) })
 		touched.ForEach(func(blk int) {
-			var inside, outside []int
-			for _, s := range blocks[blk] {
+			// Partition the block in place: inX members to the front.
+			// The two parts share the block's backing array but never
+			// grow, so neither can overwrite the other.
+			states := blocks[blk]
+			k := 0
+			for i, s := range states {
 				if inX.Has(s) {
-					inside = append(inside, s)
-				} else {
-					outside = append(outside, s)
+					states[k], states[i] = states[i], states[k]
+					k++
 				}
 			}
+			inside, outside := states[:k:k], states[k:]
 			if len(inside) == 0 || len(outside) == 0 {
 				return
 			}
@@ -324,15 +328,9 @@ func (d *DFA) Minimize() *DFA {
 		})
 	}
 
-	// Build the quotient automaton, blocks ordered by their least state.
-	sort.Slice(blocks, func(i, j int) bool {
-		return blocks[i][0] < blocks[j][0]
-	})
-	for id, states := range blocks {
-		for _, s := range states {
-			block[s] = id
-		}
-	}
+	// Build the quotient automaton; trimUnreachable renumbers it
+	// canonically (every block holds a reachable state, so it trims
+	// nothing).
 	out := &DFA{
 		Next:   make([][2]int, len(blocks)),
 		Accept: make([]bool, len(blocks)),

@@ -16,6 +16,14 @@
 // point) is re-scored at full fidelity first. DESIGN.md §Adaptive
 // fidelity spells out why that makes the ladder unable to change any
 // figure output.
+//
+// A fitness key addresses the exact miss rate of the machine with the
+// canonical bytes it was derived from. Callers may derive it from any
+// machine that mispredicts on exactly the same events as the one they
+// score: the GA search keys each genome on its minimal machine
+// (fsm.Machine.Minimal), so behaviourally equal genomes share one
+// entry. That changes no stored value's meaning, so the disk-tier
+// artifact version did not change with it.
 package fidelity
 
 import (
@@ -154,7 +162,7 @@ func TraceDigest(words []uint64, n int) Key {
 // FitnessKey derives the memo address of (machine, trace, warmup). The
 // machine contributes its canonical structural bytes (Name excluded),
 // so renamed or separately-allocated copies of one structure share an
-// address.
+// address; pass a minimal machine to make the address behavioural.
 func FitnessKey(m *fsm.Machine, trace Key, warmup int) Key {
 	h := sha256.New()
 	h.Write([]byte("fitness\x00"))

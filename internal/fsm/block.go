@@ -86,39 +86,34 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 			out[s] = 1
 		}
 	}
-	// Build T_8 by doubling composition from the 2-symbol table:
-	// T_2k[s][v] runs the low k bits through T_k, then the high k bits
-	// from the intermediate state, OR-ing the prediction masks. Each
-	// level is exact, so the final table replays 8 events exactly as
-	// the scalar walk would.
-	next := make([]uint8, 2*n)
-	mask := make([]uint8, 2*n)
+	// T_4, the 16-entry nibble table, comes from direct 4-step walks of
+	// the 2-symbol table; T_8 composes it once: a byte runs its low
+	// nibble from s, then its high nibble from the intermediate state,
+	// OR-ing the prediction masks. Bit j of a mask is the prediction
+	// made before event j, so the byte entry replays 8 events exactly as
+	// the scalar walk would. A nibble entry packs next-state in the low
+	// byte and the 4-bit mask above it, like tab's own entries.
+	const nibble = blockShift / 2
+	nib := make([]uint16, n<<nibble)
 	for s := 0; s < n; s++ {
-		next[s<<1] = step[s<<1]
-		next[s<<1|1] = step[s<<1|1]
-		mask[s<<1] = out[s]
-		mask[s<<1|1] = out[s]
-	}
-	for k := 1; k < blockShift; k *= 2 {
-		wide := 2 * k
-		nn := make([]uint8, n<<uint(wide))
-		nm := make([]uint8, n<<uint(wide))
-		low := uint8(1<<uint(k) - 1)
-		for s := 0; s < n; s++ {
-			for v := 0; v < 1<<uint(wide); v++ {
-				lo, hi := uint8(v)&low, v>>uint(k)
-				i1 := s<<uint(k) | int(lo)
-				mid := next[i1]
-				i2 := int(mid)<<uint(k) | hi
-				nn[s<<uint(wide)|v] = next[i2]
-				nm[s<<uint(wide)|v] = mask[i1] | mask[i2]<<uint(k)
+		for v := 0; v < 1<<nibble; v++ {
+			st, mask := s, uint16(0)
+			for j := 0; j < nibble; j++ {
+				mask |= uint16(out[st]) << j
+				st = int(step[st<<1|v>>j&1])
 			}
+			nib[s<<nibble|v] = uint16(st) | mask<<8
 		}
-		next, mask = nn, nm
 	}
 	tab := make([]uint16, n<<blockShift)
-	for i := range tab {
-		tab[i] = uint16(next[i]) | uint16(mask[i])<<8
+	for s := 0; s < n; s++ {
+		row := (*[1 << blockShift]uint16)(tab[s<<blockShift:])
+		for lo, e := range nib[s<<nibble : (s+1)<<nibble] {
+			mid, loMask := int(e&0xff), e&^0xff
+			for hi, h := range (*[1 << nibble]uint16)(nib[mid<<nibble:]) {
+				row[uint8(hi<<nibble|lo)] = h&0xff | (h&^0xff)<<nibble | loMask
+			}
+		}
 	}
 	return newBlockTable(tab, step, out, uint8(m.Start), m.Clone()), nil
 }

@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -302,13 +303,18 @@ func BenchmarkSimulatePacked(b *testing.B) {
 }
 
 // BenchmarkCompileBlockTable prices table construction — the one-time
-// cost a cache miss pays.
+// cost a cache miss pays, and the per-genome cost of a GA search — at
+// the search's machine size and at its 64-state bound.
 func BenchmarkCompileBlockTable(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	m := randomMachine(rng, 32)
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileBlockTable(m); err != nil {
-			b.Fatal(err)
-		}
+	for _, states := range []int{8, 64} {
+		m := randomMachine(rand.New(rand.NewSource(11)), states)
+		b.Run(fmt.Sprintf("states=%d", states), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CompileBlockTable(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

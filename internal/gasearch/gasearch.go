@@ -7,12 +7,19 @@
 // machines against the trace; this package provides that baseline so the
 // claim can be measured (see the BenchmarkSearchVsDesigner ablation).
 //
-// One evaluator scores every cohort. Each genome is looked up in the
-// persistent fitness memo by machine structure, structurally identical
-// cohort members share one evaluation, and the remaining distinct
-// machines are scored exactly on the full trace in one fleet pass, so
-// re-emitted children and repeat searches over the same trace never
-// re-simulate. Options.Adaptive adds the fidelity ladder in front of
+// One evaluator scores every cohort by behaviour. Each genome's minimal
+// machine (fsm.Machine.Minimal: unreachable states trimmed, equivalent
+// states merged, canonically renumbered) is computed once and is what
+// gets keyed, compiled and walked: a minimal machine mispredicts
+// exactly where its genome does, so genomes that differ only in dead or
+// redundant states share one fitness. Each genome is looked up in the
+// persistent fitness memo by its minimal machine's structure, cohort
+// members with the same minimal machine share one evaluation, and the
+// remaining distinct minimal machines are scored exactly on the full
+// trace in one fleet pass, so re-emitted children, behavioural
+// duplicates and repeat searches over the same trace never re-simulate.
+// Breeding, the structural tie-break and the reported Best all use the
+// raw genome. Options.Adaptive adds the fidelity ladder in front of
 // the fleet pass: cohorts race through representative windows first,
 // and only statistical survivors escalate to exact full-trace scoring.
 // Estimates only ever steer selection pressure: every elite slot, and
@@ -37,7 +44,8 @@ type Options struct {
 	Population int
 	// Generations is the number of evolution steps (default 50).
 	Generations int
-	// MutationRate is the per-gene mutation probability (default 0.02).
+	// MutationRate is the per-gene mutation probability, in (0,1]
+	// (0 means the default 0.02).
 	MutationRate float64
 	// Elite is how many top genomes survive unchanged (default 2).
 	Elite int
@@ -54,7 +62,7 @@ type Options struct {
 	TournamentK int
 	// Seed makes the search reproducible.
 	Seed int64
-	// Warmup outcomes at the head of the trace are not scored.
+	// Warmup outcomes at the head of the trace are not scored (>= 0).
 	Warmup int
 	// Workers bounds the goroutines the fleet evaluation pass shards
 	// machine chunks over (<= 0 means GOMAXPROCS). Fleet chunks are
@@ -75,7 +83,7 @@ func (o Options) withDefaults() Options {
 	if o.Generations <= 0 {
 		o.Generations = 50
 	}
-	if o.MutationRate <= 0 {
+	if o.MutationRate == 0 {
 		o.MutationRate = 0.02
 	}
 	if o.Elite <= 0 {
@@ -111,6 +119,14 @@ func (o Options) validate() error {
 		return fmt.Errorf("gasearch: pool %d out of range [elite %d, population %d)",
 			o.Pool, o.Elite, o.Population)
 	}
+	// The negated form also rejects NaN, which every comparison fails
+	// (a NaN rate would silently disable mutation).
+	if !(o.MutationRate > 0 && o.MutationRate <= 1) {
+		return fmt.Errorf("gasearch: mutation rate %v out of range (0,1]", o.MutationRate)
+	}
+	if o.Warmup < 0 {
+		return fmt.Errorf("gasearch: negative warmup %d", o.Warmup)
+	}
 	return nil
 }
 
@@ -127,8 +143,8 @@ type RacingStats struct {
 	Escalated int
 	// MemoHits counts genomes scored from the fitness memo.
 	MemoHits int
-	// Deduped counts genomes that shared a structurally identical
-	// cohort member's single evaluation.
+	// Deduped counts genomes that shared the single evaluation of a
+	// cohort member with the same minimal machine.
 	Deduped int
 }
 
@@ -150,7 +166,10 @@ type Result struct {
 }
 
 type genome struct {
-	m    *fsm.Machine
+	m *fsm.Machine
+	// min is m's minimal machine, computed on first evaluation: the
+	// machine the memo keys on and the fleet walks.
+	min  *fsm.Machine
 	miss float64
 	// exact reports whether miss is a full-fidelity measurement rather
 	// than a ladder estimate. Exact mode always sets it.
@@ -176,151 +195,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	res := &Result{}
-
-	// The trace is packed once; every generation is then scored in ONE
-	// fleet pass over the packed words instead of a scalar walk per
-	// genome. This batching is legal because fitness evaluation consumes
-	// no randomness: generating a whole cohort first and scoring it
-	// afterwards leaves the RNG stream — and therefore every machine the
-	// search constructs — identical to interleaved evaluation, and the
-	// fleet kernel itself is bit-identical to Machine.Simulate, so the
-	// search trajectory does not change, only its wall clock.
-	bits := bitseq.FromBools(trace)
-	words, n := bits.Words(), bits.Len()
-	// One run scan serves every cohort of the search: the trace never
-	// changes, so the span kernel's index is hoisted out of the loop.
-	runs := bitseq.Runs(words, n, bitseq.DefaultMinRunBytes)
-
-	// The ladder is nil in exact mode, and in adaptive mode when the
-	// trace is too short to stage; every genome is then scored exactly
-	// through the memo — same fitness values, same trajectory.
-	digest := fidelity.TraceDigest(words, n)
-	var ladder *fidelity.Ladder
-	if opt.Adaptive {
-		ladder = fidelity.NewLadder(words, n, runs, fidelity.LadderConfig{
-			Warmup:  opt.Warmup,
-			Workers: opt.Workers,
-			Seed:    opt.Seed,
-		})
-		res.Racing.LadderUsed = ladder != nil
-	}
-
-	// evaluate scores a cohort through the fitness memo, structural
-	// dedup (duplicate cohort members — crossover copies, re-converged
-	// mutants — share one evaluation), and — when useLadder — the staged
-	// ladder, racing for the cohort's top-Pool slots against the anchors
-	// (the carried elites' exact misses, which compete for the same
-	// slots). With useLadder false every distinct structure scores at
-	// full fidelity in one fleet pass. Tables compile directly rather
-	// than through the shared block cache: a search burns through
-	// thousands of transient machines that would evict the serving
-	// workload's entries. It returns how many distinct machines were
-	// raced and how many of those were pruned, for the traction tracker.
-	// Only exact misses enter the memo.
-	evaluate := func(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int, err error) {
-		res.Evaluations += len(batch)
-		type slot struct {
-			key fidelity.Key
-			gs  []*genome
-		}
-		var slots []*slot
-		index := make(map[fidelity.Key]*slot, len(batch))
-		// Full-capacity clamp: appends below copy rather than scribbling
-		// on the caller's backing array.
-		anchors = anchors[:len(anchors):len(anchors)]
-		for _, g := range batch {
-			k := fidelity.FitnessKey(g.m, digest, opt.Warmup)
-			if s, ok := index[k]; ok {
-				s.gs = append(s.gs, g)
-				res.Racing.Deduped++
-				continue
-			}
-			if miss, ok := fidelity.MemoGet(k); ok {
-				g.miss, g.exact = miss, true
-				res.Racing.MemoHits++
-				// Memo hits are cohort members with exact scores: they
-				// compete for the same top-Pool slots, so their values
-				// anchor (tighten) the racing bar for free.
-				anchors = append(anchors, miss)
-				continue
-			}
-			s := &slot{key: k, gs: []*genome{g}}
-			index[k] = s
-			slots = append(slots, s)
-		}
-		if len(slots) == 0 {
-			return 0, 0, nil
-		}
-		tabs := make([]*fsm.BlockTable, len(slots))
-		for i, s := range slots {
-			if tabs[i], err = fsm.CompileBlockTable(s.gs[0].m); err != nil {
-				return 0, 0, fmt.Errorf("gasearch: genome: %v", err)
-			}
-		}
-		if useLadder && ladder != nil {
-			// keep = Pool exactly: the racing bar is the Pool-th smallest
-			// UCB, which (bounds holding) upper-bounds the Pool-th best
-			// true value, so nothing prunable can belong in the pool. The
-			// slack-inflated radii are the safety margin for the windows'
-			// non-iid reality.
-			vs := ladder.RaceTop(tabs, opt.Pool, anchors)
-			for i, s := range slots {
-				v := vs[i]
-				if v.Exact {
-					fidelity.MemoPut(s.key, v.Miss)
-				} else {
-					prunedN++
-				}
-				for _, g := range s.gs {
-					g.miss, g.exact = v.Miss, v.Exact
-				}
-			}
-			return len(slots), prunedN, nil
-		}
-		var misses []float64
-		if ladder != nil {
-			misses = ladder.ScoreExact(tabs)
-		} else {
-			fl := fsm.FleetOfTables(tabs)
-			rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
-			misses = make([]float64, len(rs))
-			for i, r := range rs {
-				misses[i] = r.MissRate()
-			}
-		}
-		for i, s := range slots {
-			fidelity.MemoPut(s.key, misses[i])
-			for _, g := range s.gs {
-				g.miss, g.exact = misses[i], true
-			}
-		}
-		return 0, 0, nil
-	}
-
-	// ensureTopExact upgrades every estimate in the sorted population's
-	// top k slots to a full-fidelity measurement and re-sorts, repeating
-	// until the band is stable. This is what makes pruning a pure
-	// skip-ahead: estimates can rank losers among themselves, but
-	// nothing inexact can enter the parent pool, become an elite, a
-	// reported per-generation best, or the champion. It terminates
-	// because genomes only ever move from estimate to exact.
-	ensureTopExact := func(pop []*genome, k int) error {
-		for {
-			var inexact []*genome
-			for _, g := range pop[:k] {
-				if !g.exact {
-					inexact = append(inexact, g)
-				}
-			}
-			if len(inexact) == 0 {
-				return nil
-			}
-			if _, _, err := evaluate(inexact, nil, false); err != nil {
-				return err
-			}
-			sortByFitness(pop)
-		}
-	}
+	ev := newEvaluator(trace, opt, res)
 
 	pop := make([]*genome, opt.Population)
 	for i := range pop {
@@ -330,11 +205,11 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// first parent pool, so losers can keep windowed estimates, and a
 	// random population's spread dwarfs the window radius — this is where
 	// pruning bites hardest. ensureTopExact then settles the pool.
-	if _, _, err := evaluate(pop, nil, ladder != nil); err != nil {
+	if _, _, err := ev.evaluate(pop, nil, ev.ladder != nil); err != nil {
 		return nil, err
 	}
 	sortByFitness(pop)
-	if err := ensureTopExact(pop, opt.Pool); err != nil {
+	if err := ev.ensureTopExact(pop, opt.Pool); err != nil {
 		return nil, err
 	}
 
@@ -359,12 +234,12 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		// The carried elites anchor the racing bar (they hold pool slots
 		// with exact scores), and the ladder is dropped for good once
 		// pruning shows no traction for a few generations.
-		useLadder := ladder != nil && lowTraction < tractionPatience
+		useLadder := ev.ladder != nil && lowTraction < tractionPatience
 		anchors := make([]float64, opt.Elite)
 		for i := 0; i < opt.Elite; i++ {
 			anchors[i] = pop[i].miss
 		}
-		raced, prunedN, err := evaluate(next[opt.Elite:], anchors, useLadder)
+		raced, prunedN, err := ev.evaluate(next[opt.Elite:], anchors, useLadder)
 		if err != nil {
 			return nil, err
 		}
@@ -381,20 +256,183 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		// it: racing already escalated every plausible member, so this
 		// loop converges immediately unless a confidence bound was
 		// violated.
-		if err := ensureTopExact(pop, opt.Pool); err != nil {
+		if err := ev.ensureTopExact(pop, opt.Pool); err != nil {
 			return nil, err
 		}
 		res.PerGeneration = append(res.PerGeneration, pop[0].miss)
 	}
 	res.Best = pop[0].m
 	res.BestMissRate = pop[0].miss
-	if ladder != nil {
-		st := ladder.Stats()
+	if ev.ladder != nil {
+		st := ev.ladder.Stats()
 		res.Racing.RungEvals = st.RungEvals
 		res.Racing.Pruned = st.Pruned
 		res.Racing.Escalated = st.Escalated
 	}
 	return res, nil
+}
+
+// evaluator is the search's one fitness evaluator, bound to one packed
+// trace and the Result whose counters it keeps.
+type evaluator struct {
+	opt    Options
+	res    *Result
+	words  []uint64
+	n      int
+	runs   []bitseq.Run
+	digest fidelity.Key
+	// ladder is nil in exact mode, and in adaptive mode when the trace
+	// is too short to stage; every genome is then scored exactly
+	// through the memo — same fitness values, same trajectory.
+	ladder *fidelity.Ladder
+}
+
+// newEvaluator packs the trace and builds the per-search state every
+// cohort shares. The trace is packed once; every generation is then
+// scored in ONE fleet pass over the packed words instead of a scalar
+// walk per genome. This batching is legal because fitness evaluation
+// consumes no randomness: generating a whole cohort first and scoring
+// it afterwards leaves the RNG stream — and therefore every machine the
+// search constructs — identical to interleaved evaluation, and the
+// fleet kernel itself is bit-identical to Machine.Simulate, so the
+// search trajectory does not change, only its wall clock.
+func newEvaluator(trace []bool, opt Options, res *Result) *evaluator {
+	bits := bitseq.FromBools(trace)
+	e := &evaluator{opt: opt, res: res, words: bits.Words(), n: bits.Len()}
+	// One run scan serves every cohort of the search: the trace never
+	// changes, so the span kernel's index is hoisted out of the loop.
+	e.runs = bitseq.Runs(e.words, e.n, bitseq.DefaultMinRunBytes)
+	e.digest = fidelity.TraceDigest(e.words, e.n)
+	if opt.Adaptive {
+		e.ladder = fidelity.NewLadder(e.words, e.n, e.runs, fidelity.LadderConfig{
+			Warmup:  opt.Warmup,
+			Workers: opt.Workers,
+			Seed:    opt.Seed,
+		})
+		res.Racing.LadderUsed = e.ladder != nil
+	}
+	return e
+}
+
+// evaluate scores a cohort through the fitness memo, behavioural dedup
+// (cohort members with one minimal machine — crossover copies,
+// re-converged mutants, genomes differing only in unreachable or
+// equivalent states — share one evaluation), and — when useLadder —
+// the staged ladder, racing for the cohort's top-Pool slots against the
+// anchors (the carried elites' exact misses, which compete for the same
+// slots). With useLadder false every distinct minimal machine scores at
+// full fidelity in one fleet pass. Tables compile from the minimal
+// machines, directly rather than through the shared block cache: a
+// search burns through thousands of transient machines that would
+// evict the serving workload's entries. It returns how many distinct
+// machines were raced and how many of those were pruned, for the
+// traction tracker. Only exact misses enter the memo.
+func (e *evaluator) evaluate(batch []*genome, anchors []float64, useLadder bool) (raced, prunedN int, err error) {
+	e.res.Evaluations += len(batch)
+	type slot struct {
+		key fidelity.Key
+		gs  []*genome
+	}
+	var slots []*slot
+	index := make(map[fidelity.Key]*slot, len(batch))
+	// Full-capacity clamp: appends below copy rather than scribbling on
+	// the caller's backing array.
+	anchors = anchors[:len(anchors):len(anchors)]
+	for _, g := range batch {
+		if g.min == nil {
+			g.min = g.m.Minimal()
+		}
+		k := fidelity.FitnessKey(g.min, e.digest, e.opt.Warmup)
+		if s, ok := index[k]; ok {
+			s.gs = append(s.gs, g)
+			e.res.Racing.Deduped++
+			continue
+		}
+		if miss, ok := fidelity.MemoGet(k); ok {
+			g.miss, g.exact = miss, true
+			e.res.Racing.MemoHits++
+			// Memo hits are cohort members with exact scores: they
+			// compete for the same top-Pool slots, so their values
+			// anchor (tighten) the racing bar for free.
+			anchors = append(anchors, miss)
+			continue
+		}
+		s := &slot{key: k, gs: []*genome{g}}
+		index[k] = s
+		slots = append(slots, s)
+	}
+	if len(slots) == 0 {
+		return 0, 0, nil
+	}
+	tabs := make([]*fsm.BlockTable, len(slots))
+	for i, s := range slots {
+		if tabs[i], err = fsm.CompileBlockTable(s.gs[0].min); err != nil {
+			return 0, 0, fmt.Errorf("gasearch: genome: %v", err)
+		}
+	}
+	if useLadder && e.ladder != nil {
+		// keep = Pool exactly: the racing bar is the Pool-th smallest
+		// UCB, which (bounds holding) upper-bounds the Pool-th best true
+		// value, so nothing prunable can belong in the pool. The
+		// slack-inflated radii are the safety margin for the windows'
+		// non-iid reality.
+		vs := e.ladder.RaceTop(tabs, e.opt.Pool, anchors)
+		for i, s := range slots {
+			v := vs[i]
+			if v.Exact {
+				fidelity.MemoPut(s.key, v.Miss)
+			} else {
+				prunedN++
+			}
+			for _, g := range s.gs {
+				g.miss, g.exact = v.Miss, v.Exact
+			}
+		}
+		return len(slots), prunedN, nil
+	}
+	var misses []float64
+	if e.ladder != nil {
+		misses = e.ladder.ScoreExact(tabs)
+	} else {
+		fl := fsm.FleetOfTables(tabs)
+		rs := fl.RunParallelSpans(e.opt.Workers, e.words, e.n, e.opt.Warmup, e.runs)
+		misses = make([]float64, len(rs))
+		for i, r := range rs {
+			misses[i] = r.MissRate()
+		}
+	}
+	for i, s := range slots {
+		fidelity.MemoPut(s.key, misses[i])
+		for _, g := range s.gs {
+			g.miss, g.exact = misses[i], true
+		}
+	}
+	return 0, 0, nil
+}
+
+// ensureTopExact upgrades every estimate in the sorted population's top
+// k slots to a full-fidelity measurement and re-sorts, repeating until
+// the band is stable. This is what makes pruning a pure skip-ahead:
+// estimates can rank losers among themselves, but nothing inexact can
+// enter the parent pool, become an elite, a reported per-generation
+// best, or the champion. It terminates because genomes only ever move
+// from estimate to exact.
+func (e *evaluator) ensureTopExact(pop []*genome, k int) error {
+	for {
+		var inexact []*genome
+		for _, g := range pop[:k] {
+			if !g.exact {
+				inexact = append(inexact, g)
+			}
+		}
+		if len(inexact) == 0 {
+			return nil
+		}
+		if _, _, err := e.evaluate(inexact, nil, false); err != nil {
+			return err
+		}
+		sortByFitness(pop)
+	}
 }
 
 // randomMachine draws a uniform random Moore machine of n states.

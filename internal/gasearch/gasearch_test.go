@@ -1,7 +1,11 @@
 package gasearch
 
 import (
+	"encoding/hex"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -77,17 +81,34 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchValidation(t *testing.T) {
-	if _, err := Search(alternatingTrace(100), Options{States: 1}); err == nil {
-		t.Error("expected states error")
-	}
-	if _, err := Search(alternatingTrace(100), Options{States: 99}); err == nil {
-		t.Error("expected states error")
-	}
-	if _, err := Search(nil, Options{States: 4}); err == nil {
-		t.Error("expected trace error")
-	}
-	if _, err := Search(alternatingTrace(100), Options{States: 4, Elite: 64, Population: 64}); err == nil {
-		t.Error("expected elite error")
+	for _, c := range []struct {
+		name  string
+		trace []bool
+		opt   Options
+		ok    bool
+	}{
+		{"states_1", alternatingTrace(100), Options{States: 1}, false},
+		{"states_99", alternatingTrace(100), Options{States: 99}, false},
+		{"empty_trace", nil, Options{States: 4}, false},
+		{"elite_at_population", alternatingTrace(100), Options{States: 4, Elite: 64, Population: 64}, false},
+		{"warmup_negative", alternatingTrace(100), Options{States: 4, Warmup: -1}, false},
+		{"mutation_nan", alternatingTrace(100), Options{States: 4, MutationRate: math.NaN()}, false},
+		{"mutation_+inf", alternatingTrace(100), Options{States: 4, MutationRate: math.Inf(1)}, false},
+		{"mutation_-inf", alternatingTrace(100), Options{States: 4, MutationRate: math.Inf(-1)}, false},
+		{"mutation_negative", alternatingTrace(100), Options{States: 4, MutationRate: -0.5}, false},
+		{"mutation_above_1", alternatingTrace(100), Options{States: 4, MutationRate: 1.5}, false},
+		{"mutation_default", alternatingTrace(100), Options{States: 4, Generations: 1}, true},
+		{"mutation_1_warmup_0", alternatingTrace(100), Options{States: 4, Generations: 1, MutationRate: 1}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Search(c.trace, c.opt)
+			if c.ok && err != nil {
+				t.Fatalf("valid options rejected: %v", err)
+			}
+			if !c.ok && err == nil {
+				t.Fatal("invalid options accepted")
+			}
+		})
 	}
 }
 
@@ -441,6 +462,112 @@ func TestSearchDedupSharesEvaluations(t *testing.T) {
 			}
 			if !adaptive {
 				checkNoLadder(t, res.Racing)
+			}
+		})
+	}
+}
+
+// TestSearchExactTrajectoryGolden pins exact-mode searches to
+// trajectories recorded before fitness was keyed on minimal machines:
+// scoring a genome by its minimal machine gives every genome the same
+// miss rate, and evaluation draws no randomness, so every generation's
+// best, the champion's structure and the evaluation count must not
+// move.
+func TestSearchExactTrajectoryGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/exact_trajectory.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []struct {
+		Program       string    `json:"program"`
+		PerGeneration []float64 `json:"per_generation"`
+		Best          string    `json:"best"`
+		BestMissRate  float64   `json:"best_miss_rate"`
+		Evaluations   int       `json:"evaluations"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != 2 {
+		t.Fatalf("golden holds %d searches, want 2", len(golden))
+	}
+	for _, g := range golden {
+		t.Run(g.Program, func(t *testing.T) {
+			trace := workloadTrace(t, g.Program, 1<<15)
+			fidelity.ResetMemo()
+			res, err := Search(trace, Options{States: 8, Population: 32, Generations: 12, Seed: 17, Warmup: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.PerGeneration, g.PerGeneration) {
+				t.Fatalf("trajectory moved:\ngot:  %v\nwant: %v", res.PerGeneration, g.PerGeneration)
+			}
+			if got := hex.EncodeToString(res.Best.AppendCanonical(nil)); got != g.Best {
+				t.Fatalf("champion moved:\ngot:  %s\nwant: %s", got, g.Best)
+			}
+			if res.BestMissRate != g.BestMissRate || res.Evaluations != g.Evaluations {
+				t.Fatalf("champion miss %v after %d evaluations, want %v after %d",
+					res.BestMissRate, res.Evaluations, g.BestMissRate, g.Evaluations)
+			}
+		})
+	}
+}
+
+// TestEvaluateUnreachableVariantNoWalk: genomes that differ from an
+// already-scored genome only in a state the start never reaches get
+// its exact miss rate from the cohort dedup or the fitness memo, and
+// no fleet walk runs for them.
+func TestEvaluateUnreachableVariantNoWalk(t *testing.T) {
+	trace := workloadTrace(t, "gsm", 1<<16)
+	// A 2-bit counter in states 0-3; state 4 is unreachable.
+	base := &fsm.Machine{
+		Output: []bool{false, false, true, true, false},
+		Next:   [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {4, 0}},
+	}
+	variant := func(out bool, next [2]int) *genome {
+		m := base.Clone()
+		m.Output[4], m.Next[4] = out, next
+		return &genome{m: m}
+	}
+	want := base.SimulateScalar(trace, 64).MissRate()
+	for _, adaptive := range []bool{false, true} {
+		t.Run(modeName(adaptive), func(t *testing.T) {
+			fidelity.ResetMemo()
+			res := &Result{}
+			ev := newEvaluator(trace, Options{States: 5, Warmup: 64, Adaptive: adaptive}.withDefaults(), res)
+			walks := func() int { return res.Evaluations - res.Racing.MemoHits - res.Racing.Deduped }
+
+			cohort := []*genome{{m: base}, variant(true, [2]int{3, 3})}
+			if _, _, err := ev.evaluate(cohort, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			if walks() != 1 || res.Racing.Deduped != 1 {
+				t.Fatalf("first cohort: %d walks, %d deduped; want 1 and 1", walks(), res.Racing.Deduped)
+			}
+			var rungs int
+			if ev.ladder != nil {
+				rungs = ev.ladder.Stats().RungEvals
+			}
+			later := []*genome{variant(false, [2]int{1, 4}), variant(true, [2]int{2, 0})}
+			if _, _, err := ev.evaluate(later, nil, true); err != nil {
+				t.Fatal(err)
+			}
+			if walks() != 1 || res.Racing.MemoHits != 2 || res.Racing.Deduped != 1 {
+				t.Fatalf("second cohort: %d walks, %d memo hits, %d deduped; want 1, 2, 1",
+					walks(), res.Racing.MemoHits, res.Racing.Deduped)
+			}
+			for i, g := range append(cohort, later...) {
+				if !g.exact || g.miss != want {
+					t.Fatalf("genome %d: miss %v (exact %v), want exact %v", i, g.miss, g.exact, want)
+				}
+			}
+			if adaptive {
+				if !res.Racing.LadderUsed {
+					t.Fatal("ladder not built on a 64k-event trace")
+				}
+				if got := ev.ladder.Stats().RungEvals - rungs; got != 0 {
+					t.Fatalf("second cohort ran %d ladder rung evaluations", got)
+				}
 			}
 		})
 	}
