@@ -46,12 +46,9 @@ group "concurrent fast-path designs" \
 group "shared block-table cache" \
 	'TestBlockTableCacheConcurrent|TestRunCustomPrefixesParallelMatches|TestDoSingleflight' \
 	./internal/fsm/ ./internal/bpred/ ./internal/memo/
-group "batch plane + NDJSON endpoints" \
-	'TestBatcherStress|TestBatchNDJSONConcurrentClients|TestDesignBatchCoalesces|TestCloseDrainsBatchedRequests' \
-	./internal/batch/ ./internal/service/
 group "fleet kernel sharding" \
-	'TestFleetConcurrent|TestFleetMatchesSimulatePacked|TestSearchWorkersInvariant|TestSimulateBatchFleetDedup' \
-	./internal/fsm/ ./internal/gasearch/ ./internal/service/
+	'TestFleetConcurrent|TestFleetMatchesSimulatePacked|TestSearchWorkersInvariant|TestFleetDedup' \
+	./internal/fsm/ ./internal/gasearch/
 group "span kernel shared power tables + cached indexes" \
 	'TestSpanTableConcurrent|TestFleetRunSpansMatchesRun|TestStoreSpanIndexTier|TestConfSegmentSpans' \
 	./internal/fsm/ ./internal/tracestore/

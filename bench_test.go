@@ -529,60 +529,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDesignThroughput drives the coalescing batch plane with
-// duplicate-heavy design traffic and the cache disabled, so every item
-// must be served by pipeline work and the measured rate is pure
-// batching effect: duplicates within a flush collapse into one design
-// run per distinct request. Reports items per second and the achieved
-// coalesce ratio (items per pipeline pass).
-func BenchmarkBatchDesignThroughput(b *testing.B) {
-	var traces []*bitseq.Bits
-	for _, prog := range []string{"gsm", "vortex"} {
-		p, err := workload.ByName(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		all := trace.Outcomes(p.Generate(workload.Train, 8_000)).Bools()
-		const window = 3000
-		for i := 0; i+window <= len(all) && i < 2*window; i += window {
-			traces = append(traces, bitseq.FromBools(all[i:i+window]))
-		}
-	}
-	svc := fsmpredict.NewService(fsmpredict.ServiceConfig{
-		CacheEntries: -1,
-		QueueDepth:   1 << 16,
-		BatchMaxSize: 256,
-		BatchMaxWait: time.Millisecond,
-	})
-	defer svc.Close()
-	opt := fsmpredict.Options{Order: 6}
-
-	var items atomic.Uint64
-	b.SetParallelism(32) // many requests in flight so groups actually fill
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			idx := i % len(traces)
-			_, _, err := svc.DesignBatch(context.Background(), traces[idx], opt, "trace-"+strconv.Itoa(idx))
-			if err != nil {
-				b.Fatal(err)
-			}
-			items.Add(1)
-			i++
-		}
-	})
-	elapsed := time.Since(start).Seconds()
-	design, _ := svc.BatchStats()
-	if elapsed > 0 {
-		b.ReportMetric(float64(items.Load())/elapsed, "items/s")
-	}
-	if design.Flushes > 0 {
-		b.ReportMetric(float64(design.Flushed)/float64(design.Flushes), "items/flush")
-	}
-}
-
 // BenchmarkSpanWorkloadTraces measures the span kernel on the suite's
 // own branch traces — not the synthetic bias sweep — reporting each
 // program's skippable-event coverage alongside block and span kernel

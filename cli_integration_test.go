@@ -160,43 +160,7 @@ func TestFSMServedEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := t.TempDir()
-	bin := buildTool(t, dir, "fsmserved")
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The daemon logs "listening on 127.0.0.1:PORT" once the socket is
-	// bound; everything after that line is kept flowing to avoid
-	// blocking the child on a full pipe.
-	sc := bufio.NewScanner(stderr)
-	var base string
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "listening on "); i >= 0 {
-			base = "http://" + strings.TrimSpace(line[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		t.Fatalf("daemon never reported its address: %v", sc.Err())
-	}
-	drained := make(chan string, 1)
-	go func() {
-		var rest strings.Builder
-		for sc.Scan() {
-			rest.WriteString(sc.Text())
-			rest.WriteByte('\n')
-		}
-		drained <- rest.String()
-	}()
+	cmd, base, drained := startFSMServed(t)
 
 	// Design the Figure 1 trace (N=2): the paper's 3-state machine.
 	body, err := json.Marshal(map[string]any{
@@ -273,40 +237,20 @@ func TestFSMServedEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SIGTERM: the daemon must drain and exit 0. Read stderr to EOF
-	// before Wait — Wait closes the pipe and would race the scanner.
+	// SIGTERM: the daemon must drain and exit 0.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	var rest string
-	select {
-	case rest = <-drained:
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not exit within 15s of SIGTERM")
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exited with %v after SIGTERM\nstderr:\n%s", err, rest)
-	}
-	if !strings.Contains(rest, "shut down cleanly") {
-		t.Errorf("daemon log missing clean-shutdown line:\n%s", rest)
-	}
+	waitCleanExit(t, cmd, drained)
 }
 
-// TestFSMServedBatchDrainOnSIGTERM terminates the daemon while an
-// NDJSON batch request is mid-flight with items parked in the
-// coalescing batcher: every accepted line must still get its response
-// line and the daemon must exit 0 — shutdown drains the batch plane,
-// it does not drop it.
-func TestFSMServedBatchDrainOnSIGTERM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := t.TempDir()
-	bin := buildTool(t, dir, "fsmserved")
-
-	// A long batch wait guarantees the items are still waiting for
-	// company in the batcher when SIGTERM lands.
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2", "-batch", "64", "-batch-wait", "2s")
+// startFSMServed builds fsmserved, boots it on a random port and
+// returns the process, its base URL, and a channel that yields the
+// rest of its log once it exits.
+func startFSMServed(t *testing.T) (*exec.Cmd, string, <-chan string) {
+	t.Helper()
+	bin := buildTool(t, t.TempDir(), "fsmserved")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +258,11 @@ func TestFSMServedBatchDrainOnSIGTERM(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
+	// The daemon logs "listening on 127.0.0.1:PORT" once the socket is
+	// bound; everything after that line is kept flowing to avoid
+	// blocking the child on a full pipe.
 	sc := bufio.NewScanner(stderr)
 	var base string
 	for sc.Scan() {
@@ -337,96 +284,14 @@ func TestFSMServedBatchDrainOnSIGTERM(t *testing.T) {
 		}
 		drained <- rest.String()
 	}()
+	return cmd, base, drained
+}
 
-	// Stream the batch request through a pipe so the connection is
-	// still open — and the lines already accepted — when the signal
-	// arrives.
-	const n = 6
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/batch/design", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	type batchLine struct {
-		Index  int    `json:"index"`
-		ID     string `json:"id"`
-		Error  string `json:"error"`
-		Result *struct {
-			States int `json:"states"`
-		} `json:"result"`
-	}
-	type lineResult struct {
-		lines map[int]batchLine
-		err   error
-	}
-	resc := make(chan lineResult, 1)
-	go func() {
-		out := lineResult{lines: make(map[int]batchLine)}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			out.err = err
-			resc <- out
-			return
-		}
-		defer resp.Body.Close()
-		rsc := bufio.NewScanner(resp.Body)
-		for rsc.Scan() {
-			var line batchLine
-			if err := json.Unmarshal(rsc.Bytes(), &line); err != nil {
-				out.err = err
-				resc <- out
-				return
-			}
-			out.lines[line.Index] = line
-		}
-		out.err = rsc.Err()
-		resc <- out
-	}()
-
-	for i := 0; i < n; i++ {
-		line := fmt.Sprintf(`{"id":"d%d","trace":"000010001011110111101111","options":{"order":2,"name":"m%d"}}`+"\n", i, i)
-		if _, err := io.WriteString(pw, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The lines are accepted and parked (2s batch wait); terminate now,
-	// then end the request body so the handler can finish draining.
-	time.Sleep(100 * time.Millisecond)
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	pw.Close()
-
-	var res lineResult
-	select {
-	case res = <-resc:
-	case <-time.After(20 * time.Second):
-		t.Fatal("batch response did not complete after SIGTERM")
-	}
-	if res.err != nil {
-		t.Fatalf("batch response: %v", res.err)
-	}
-	if len(res.lines) != n {
-		t.Fatalf("got %d response lines, want %d — accepted requests were dropped on shutdown", len(res.lines), n)
-	}
-	for i := 0; i < n; i++ {
-		line, ok := res.lines[i]
-		if !ok {
-			t.Fatalf("no response for index %d", i)
-		}
-		if line.Error != "" {
-			t.Errorf("index %d dropped on shutdown: %s", i, line.Error)
-		} else if line.Result == nil || line.Result.States != 3 {
-			t.Errorf("index %d: result %+v, want the paper's 3 states", i, line.Result)
-		}
-		if want := fmt.Sprintf("d%d", i); line.ID != want {
-			t.Errorf("index %d: id %q, want %q", i, line.ID, want)
-		}
-	}
-
+// waitCleanExit requires a signalled daemon to exit 0 with its
+// clean-shutdown log line. It reads the log to EOF before Wait, since
+// Wait closes the pipe and would race the scanner.
+func waitCleanExit(t *testing.T, cmd *exec.Cmd, drained <-chan string) {
+	t.Helper()
 	var rest string
 	select {
 	case rest = <-drained:
@@ -439,4 +304,81 @@ func TestFSMServedBatchDrainOnSIGTERM(t *testing.T) {
 	if !strings.Contains(rest, "shut down cleanly") {
 		t.Errorf("daemon log missing clean-shutdown line:\n%s", rest)
 	}
+}
+
+// TestFSMServedDrainsInFlightOnSIGTERM terminates the daemon while a
+// search request is running: the request must still complete with 200
+// and the daemon must exit 0. Shutdown drains in-flight requests; it
+// does not drop them.
+func TestFSMServedDrainsInFlightOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	cmd, base, drained := startFSMServed(t)
+
+	// A search over a 1M-event stored trace takes on the order of a
+	// second, long enough for the signal to land mid-request.
+	body := `{"workload":{"program":"gsm","variant":"train","events":1000000},` +
+		`"options":{"states":8,"population":64,"generations":200,"seed":1}}`
+	type searchResult struct {
+		status int
+		states int
+		err    error
+	}
+	resc := make(chan searchResult, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			resc <- searchResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out struct {
+			States int `json:"states"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resc <- searchResult{status: resp.StatusCode, states: out.States, err: err}
+	}()
+
+	// The search counter moves once the request is validated and the
+	// search has begun.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(metrics), "fsmpredict_search_requests_total 1\n") {
+			break
+		}
+		select {
+		case res := <-resc:
+			t.Fatalf("search finished before SIGTERM could land (status %d, err %v); lengthen it", res.status, res.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("search never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+
+	var res searchResult
+	select {
+	case res = <-resc:
+	case <-time.After(30 * time.Second):
+		t.Fatal("search response did not complete after SIGTERM")
+	}
+	if res.err != nil || res.status != http.StatusOK || res.states != 8 {
+		t.Fatalf("in-flight search: status %d, states %d, err %v; want 200 and an 8-state champion",
+			res.status, res.states, res.err)
+	}
+	waitCleanExit(t, cmd, drained)
 }

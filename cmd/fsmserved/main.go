@@ -9,22 +9,13 @@
 //
 // Endpoints:
 //
-//	POST /v1/design         {"trace":"0000 1000 ...","options":{"order":2}}
-//	POST /v1/simulate       {"machine":{...},"trace":"0101...","skip":2}
-//	POST /v1/batch/design   NDJSON stream of design requests
-//	POST /v1/batch/simulate NDJSON stream of simulate requests
+//	POST /v1/design   {"trace":"0000 1000 ...","options":{"order":2}}
+//	POST /v1/simulate {"machine":{...},"trace":"0101...","skip":2}
+//	POST /v1/search   {"trace":"0101...","options":{"states":4,"mode":"adaptive"}}
 //	GET  /healthz
 //	GET  /metrics
 //
-// The /v1/batch endpoints accept one JSON request per line and stream
-// one JSON response line per request, possibly out of order; each line
-// carries an "index" (and the client's optional "id") for correlation.
-// Arrivals within -batch-wait of each other that target the same trace
-// coalesce into grouped kernel passes (-batch bounds the group size);
-// /metrics reports the achieved coalesce ratio
-// (fsmpredict_batch_*_coalesce_ratio_milli).
-//
-// Instead of an inline "trace", both POST endpoints accept a "workload"
+// Instead of an inline "trace", every POST endpoint accepts a "workload"
 // reference ({"program":"gsm","variant":"train","events":250000,
 // "pc":"0x12004008"}) naming a branch trace in the process-wide packed
 // trace store; repeated references reuse one generated, packed copy,
@@ -34,9 +25,7 @@
 // Passing -cache-dir gives the design cache, the block-table cache, and
 // the trace store a persistent disk tier: a restarted daemon serves
 // previously computed artifacts (byte-identical) instead of redesigning
-// them. -cache-size bounds the directory (LRU eviction); -cache-serve
-// exposes GET /v1/cache/manifest and GET /v1/cache/artifact for peer
-// warming, and -warm-from pulls a peer's artifacts at startup.
+// them. -cache-size bounds the directory (LRU eviction).
 //
 // Passing -pprof host:port additionally serves the net/http/pprof
 // endpoints (/debug/pprof/...) on that address, on a mux separate from the
@@ -91,18 +80,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fsmserved: ")
 	var (
-		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", 0, "concurrent design pipelines (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "design queue depth before shedding load (0 = 8x workers)")
-		cache      = flag.Int("cache", 0, "design cache entries (0 = 1024, negative disables)")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		batchMax   = flag.Int("batch", 0, "max requests coalesced into one batch flush (0 = 64)")
-		batchWait  = flag.Duration("batch-wait", 0, "max time a batched request waits for company (0 = 2ms)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty disables)")
-		cacheDir   = flag.String("cache-dir", "", "persistent artifact cache directory (empty disables the disk tier)")
-		cacheSize  = flag.String("cache-size", "", "disk cache size bound, e.g. 512M or 2G (empty = 512M)")
-		cacheServe = flag.Bool("cache-serve", false, "expose the disk tier's peer-warming endpoints under /v1/cache")
-		warmFrom   = flag.String("warm-from", "", "pull missing cache artifacts from a peer fsmserved base URL at startup")
+		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+		workers   = flag.Int("workers", 0, "concurrent design pipelines (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "design queue depth before shedding load (0 = 8x workers)")
+		cache     = flag.Int("cache", 0, "design cache entries (0 = 1024, negative disables)")
+		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty disables)")
+		cacheDir  = flag.String("cache-dir", "", "persistent artifact cache directory (empty disables the disk tier)")
+		cacheSize = flag.String("cache-size", "", "disk cache size bound, e.g. 512M or 2G (empty = 512M)")
 	)
 	flag.Parse()
 	if *workers < 0 {
@@ -114,12 +99,6 @@ func main() {
 	if *timeout <= 0 {
 		cliutil.BadUsage("fsmserved: -timeout must be positive, got %v", *timeout)
 	}
-	if *batchMax < 0 {
-		cliutil.BadUsage("fsmserved: -batch must be >= 0, got %d", *batchMax)
-	}
-	if *batchWait < 0 {
-		cliutil.BadUsage("fsmserved: -batch-wait must be >= 0, got %v", *batchWait)
-	}
 	if flag.NArg() > 0 {
 		cliutil.BadUsage("fsmserved: unexpected arguments %v", flag.Args())
 	}
@@ -127,8 +106,8 @@ func main() {
 	if err != nil {
 		cliutil.BadUsage("fsmserved: %v", err)
 	}
-	if *cacheDir == "" && (*cacheSize != "" || *cacheServe || *warmFrom != "") {
-		cliutil.BadUsage("fsmserved: -cache-size, -cache-serve and -warm-from require -cache-dir")
+	if *cacheDir == "" && *cacheSize != "" {
+		cliutil.BadUsage("fsmserved: -cache-size requires -cache-dir")
 	}
 	disk, err := cachewire.Setup(*cacheDir, maxBytes)
 	if err != nil {
@@ -136,17 +115,6 @@ func main() {
 	}
 	if disk != nil {
 		log.Printf("disk cache at %s (%d artifacts)", disk.Dir(), disk.Len())
-	}
-	if *warmFrom != "" {
-		warmCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		pulled, err := disk.PullFrom(warmCtx, *warmFrom, nil)
-		cancel()
-		if err != nil {
-			// Warming is best-effort: a cold start is slower, not wrong.
-			log.Printf("peer warming from %s failed after %d artifacts: %v", *warmFrom, pulled, err)
-		} else {
-			log.Printf("pulled %d artifacts from %s", pulled, *warmFrom)
-		}
 	}
 
 	if *pprofAddr != "" {
@@ -161,10 +129,7 @@ func main() {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cache,
-		BatchMaxSize: *batchMax,
-		BatchMaxWait: *batchWait,
 		Disk:         disk,
-		CacheServe:   *cacheServe,
 	})
 	defer svc.Close()
 
@@ -172,19 +137,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// http.TimeoutHandler also cancels the request context, which
-	// releases the service-side wait for a worker slot — but it buffers
-	// the whole response, which would break the batch endpoints'
-	// line-by-line streaming. Route /v1/batch/ around it; those streams
-	// are instead bounded per line by the service and by the client's
-	// connection lifetime.
-	api := service.NewHandler(svc)
-	timed := http.TimeoutHandler(api, *timeout, "request timed out\n")
-	root := http.NewServeMux()
-	root.Handle("/v1/batch/", api)
-	root.Handle("/", timed)
+	// http.TimeoutHandler bounds each request and cancels its context,
+	// which releases the service-side wait for a worker slot.
 	srv := &http.Server{
-		Handler:           root,
+		Handler:           http.TimeoutHandler(service.NewHandler(svc), *timeout, "request timed out\n"),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

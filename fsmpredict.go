@@ -132,16 +132,13 @@ func MachineForCover(cover []Cube, order int) (*Machine, error) {
 
 // Service is a concurrent design server around the §4 flow: a
 // content-addressed result cache, deduplication of identical in-flight
-// requests, a bounded worker pool that sheds load with
-// service.ErrOverloaded when saturated, and a coalescing micro-batch
-// plane (DesignBatch/SimulateBatch) that groups requests by trace so
-// each flush runs one kernel pass per group. cmd/fsmserved exposes one
-// over HTTP, including the NDJSON /v1/batch endpoints.
+// requests, and a bounded worker pool that sheds load with
+// service.ErrOverloaded when saturated. cmd/fsmserved exposes one over
+// HTTP.
 type Service = service.Service
 
 // ServiceConfig sizes a Service; the zero value uses GOMAXPROCS
-// workers, a 1024-entry cache, and a 64-item / 2 ms batch plane
-// (BatchMaxSize, BatchMaxWait).
+// workers, a queue of 8× workers, and a 1024-entry cache.
 type ServiceConfig = service.Config
 
 // ServiceResult is the immutable outcome of one served design: machine

@@ -2,10 +2,9 @@
 // artifact tier: it opens the disk store and attaches it beneath every
 // process-wide in-memory cache (the fsm block-table cache and the
 // shared trace store), returning the store so callers can also hand it
-// to service.Config.Disk and the peer-warming endpoints. The CLIs that
-// expose -cache-dir/-cache-size (fsmserved, paperrun, loadgen) all
-// funnel through here, so the four artifact producers always agree on
-// one store.
+// to service.Config.Disk. The CLIs that expose -cache-dir/-cache-size
+// (fsmserved, paperrun) both funnel through here, so the four artifact
+// producers always agree on one store.
 package cachewire
 
 import (

@@ -89,8 +89,6 @@ type Stats struct {
 	// Corrupt counts artifacts dropped for failing verification:
 	// truncation, checksum mismatch, stale format version, foreign kind.
 	Corrupt uint64
-	// PeerPulled counts artifacts installed by peer warming.
-	PeerPulled uint64
 }
 
 type entryKey struct{ kind, key string }
@@ -263,22 +261,6 @@ func (s *Store) Get(kind string, version byte, key string) (*Blob, bool) {
 	s.touch(ek)
 	s.count(func(st *Stats) { st.Hits++ })
 	return blob, true
-}
-
-// Has reports whether an artifact file exists at (kind, key) without
-// reading or verifying it — the peer-warming dedup check.
-func (s *Store) Has(kind, key string) bool {
-	if !validAddress(kind, key) {
-		return false
-	}
-	s.mu.Lock()
-	_, ok := s.byKey[entryKey{kind: kind, key: key}]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	_, err := os.Stat(s.path(entryKey{kind: kind, key: key}))
-	return err == nil
 }
 
 // readVerified parses and checks an artifact file opened by the caller,

@@ -361,7 +361,7 @@ func TestConcurrentReadersWritersCorruption(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		s.Stats()
-		s.Manifest()
+		s.Len()
 	}
 	close(stop)
 	wg.Wait()

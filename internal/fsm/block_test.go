@@ -111,8 +111,8 @@ func TestSimulateUsesBlockKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Unique() != 4 || f.Deduped() != 3 {
-		t.Fatalf("fleet unique %d deduped %d, want 4 and 3", f.Unique(), f.Deduped())
+	if unique(f) != 4 || len(f.idx)-unique(f) != 3 {
+		t.Fatalf("fleet unique %d deduped %d, want 4 and 3", unique(f), len(f.idx)-unique(f))
 	}
 	memberPos := make([][]int32, len(members))
 	for j := range members {

@@ -10,14 +10,14 @@ import (
 
 // This file is the fleet: many machines scored against one trace in one
 // pass — the GA search over machine encodings, Figure 4's synthesis
-// batch, Figure 2's per-history threshold curves, and coalesced
-// batch-simulate flushes. A fleet is the engine's layout (walk.go) over
-// any number of slots, plus the machines over the block-table bound
-// (walked by their scalar references alongside the packed slots), plus
-// two things a single table does not need:
+// batch and Figure 2's per-history threshold curves. A fleet is the
+// engine's layout (walk.go) over any number of slots, plus the machines
+// over the block-table bound (walked by their scalar references
+// alongside the packed slots), plus two things a single table does not
+// need:
 //
 //   - Structural dedup. Identical machines inside a fleet (converged
-//     GA populations, duplicate batch requests) are detected by
+//     GA populations, repeated threshold designs) are detected by
 //     content hash with full structural verification and simulated
 //     once; results fan out to every input slot.
 //   - Chunking. Slots are grouped into chunks whose closure tables
@@ -167,23 +167,6 @@ func packLayout(uniq []*BlockTable) layout {
 		l.spans[u] = t.spans[0]
 	}
 	return l
-}
-
-// Len returns the number of input machines (fleet result slots).
-func (f *Fleet) Len() int { return len(f.idx) }
-
-// Unique returns the number of structurally distinct machines — the
-// number of state walks whose results a fleet pass actually uses.
-func (f *Fleet) Unique() int { return f.nuniq + len(f.big) }
-
-// Deduped returns how many input machines were folded into another
-// slot's walk.
-func (f *Fleet) Deduped() int { return f.Len() - f.Unique() }
-
-// TableBytes returns the packed closure-table footprint.
-func (f *Fleet) TableBytes() uint64 {
-	n := uint64(f.off[len(f.off)-1])
-	return 2*(n<<blockShift) + 3*n
 }
 
 // RunParallelSpans replays n events of the packed outcome stream

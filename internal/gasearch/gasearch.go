@@ -332,6 +332,10 @@ func (e *evaluator) evaluate(batch []*genome, anchors []float64, useLadder bool)
 	type slot struct {
 		key fidelity.Key
 		gs  []*genome
+		// memo marks a slot the fitness memo served with miss: it is
+		// never walked and never enters slots.
+		memo bool
+		miss float64
 	}
 	var slots []*slot
 	index := make(map[fidelity.Key]*slot, len(batch))
@@ -343,23 +347,31 @@ func (e *evaluator) evaluate(batch []*genome, anchors []float64, useLadder bool)
 			g.min = g.m.Minimal()
 		}
 		k := fidelity.FitnessKey(g.min, e.digest, e.opt.Warmup)
-		if s, ok := index[k]; ok {
+		s, seen := index[k]
+		switch {
+		case seen && !s.memo:
 			s.gs = append(s.gs, g)
 			e.res.Racing.Deduped++
 			continue
-		}
-		if miss, ok := fidelity.MemoGet(k); ok {
-			g.miss, g.exact = miss, true
+		case seen:
+			e.res.Racing.Deduped++
+		default:
+			miss, ok := fidelity.MemoGet(k)
+			if !ok {
+				s = &slot{key: k, gs: []*genome{g}}
+				index[k] = s
+				slots = append(slots, s)
+				continue
+			}
 			e.res.Racing.MemoHits++
-			// Memo hits are cohort members with exact scores: they
-			// compete for the same top-Pool slots, so their values
-			// anchor (tighten) the racing bar for free.
-			anchors = append(anchors, miss)
-			continue
+			s = &slot{key: k, memo: true, miss: miss}
+			index[k] = s
 		}
-		s := &slot{key: k, gs: []*genome{g}}
-		index[k] = s
-		slots = append(slots, s)
+		g.miss, g.exact = s.miss, true
+		// Memo-served cohort members, twins included, have exact scores:
+		// they compete for the same top-Pool slots, so their values
+		// anchor (tighten) the racing bar for free.
+		anchors = append(anchors, s.miss)
 	}
 	if len(slots) == 0 {
 		return 0, 0, nil

@@ -83,7 +83,6 @@ func registerDiskMetrics(reg *Metrics, d *disktier.Store) {
 	reg.Gauge("fsmpredict_diskcache_bytes_total", func() uint64 { return uint64(d.Stats().Bytes) })
 	reg.Gauge("fsmpredict_diskcache_evictions_total", func() uint64 { return d.Stats().Evictions })
 	reg.Gauge("fsmpredict_diskcache_corrupt_total", func() uint64 { return d.Stats().Corrupt })
-	reg.Gauge("fsmpredict_diskcache_peer_pulled_total", func() uint64 { return d.Stats().PeerPulled })
 	reg.Gauge("fsmpredict_diskcache_entries", func() uint64 { return uint64(d.Len()) })
 }
 

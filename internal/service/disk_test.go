@@ -3,16 +3,22 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/core"
 	"fsmpredict/internal/disktier"
+	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/tracestore"
 )
 
@@ -114,50 +120,6 @@ func TestDesignDiskTier(t *testing.T) {
 	}
 }
 
-// TestCacheEndpointsGated checks /v1/cache is absent by default and
-// served only with CacheServe.
-func TestCacheEndpointsGated(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := disktier.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk.Put("design", 1, "aa", []byte("payload"))
-
-	off := New(Config{Workers: 1, Disk: disk, Traces: tracestore.NewStore()})
-	defer off.Close()
-	srvOff := httptest.NewServer(NewHandler(off))
-	defer srvOff.Close()
-	resp, err := http.Get(srvOff.URL + "/v1/cache/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("cache endpoints served without CacheServe")
-	}
-
-	on := New(Config{Workers: 1, Disk: disk, Traces: tracestore.NewStore(), CacheServe: true})
-	defer on.Close()
-	srvOn := httptest.NewServer(NewHandler(on))
-	defer srvOn.Close()
-	resp, err = http.Get(srvOn.URL + "/v1/cache/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("manifest status = %d", resp.StatusCode)
-	}
-	var m []disktier.ManifestEntry
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 1 || m[0].Kind != "design" || m[0].Key != "aa" {
-		t.Fatalf("manifest = %+v", m)
-	}
-}
-
 // TestDiskMetricsExposed checks the diskcache counters and the tier
 // ratio gauges appear on /metrics when a disk tier is configured.
 func TestDiskMetricsExposed(t *testing.T) {
@@ -191,5 +153,92 @@ func TestDiskMetricsExposed(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(name)) {
 			t.Errorf("metric %s missing from exposition:\n%s", name, out)
 		}
+	}
+}
+
+// TestWarmStartDesignSpeedup is the warm-start floor: one cold pass of
+// stored-trace design requests over HTTP with a disk tier beneath the
+// design cache, the trace store and the block-table cache; DropCaches;
+// then the identical pass again. The warm pass must be at least 1.5×
+// faster in wall clock, be served in part by the disk tier, and see no
+// corrupt artifact and no request error.
+func TestWarmStartDesignSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times two passes of 16 designs")
+	}
+	disk, err := disktier.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsm.SetDiskTier(disk)
+	t.Cleanup(func() { fsm.SetDiskTier(nil) })
+	traces := tracestore.NewStore()
+	traces.SetDisk(disk)
+	s := New(Config{Disk: disk, Traces: traces})
+	srv := httptest.NewServer(NewHandler(s))
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+
+	// Two programs × eight names: every item is a distinct design over
+	// one of two stored 20k-event traces.
+	var items []string
+	for _, prog := range []string{"gsm", "vortex"} {
+		for i := 0; i < 8; i++ {
+			items = append(items, fmt.Sprintf(
+				`{"workload":{"program":%q,"variant":"train","events":20000},"options":{"order":2,"name":"warm_%s_%d"}}`,
+				prog, prog, i))
+		}
+	}
+	// pass issues every item once from four concurrent clients and
+	// returns the wall clock and the number of failed requests.
+	pass := func() (time.Duration, int) {
+		var next, failed atomic.Int64
+		var wg sync.WaitGroup
+		start := time.Now()
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(len(items)); i = next.Add(1) - 1 {
+					resp, err := http.Post(srv.URL+"/v1/design", "application/json", strings.NewReader(items[i]))
+					if err != nil {
+						failed.Add(1)
+						continue
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return time.Since(start), int(failed.Load())
+	}
+
+	before := disk.Stats()
+	cold, coldFailed := pass()
+	s.DropCaches()
+	mid := disk.Stats()
+	warm, warmFailed := pass()
+	after := disk.Stats()
+
+	speedup := cold.Seconds() / warm.Seconds()
+	t.Logf("cold %v, warm %v, speedup %.2fx, warm-pass disk hits %d",
+		cold, warm, speedup, after.Hits-mid.Hits)
+	if coldFailed > 0 || warmFailed > 0 {
+		t.Fatalf("request errors: %d cold, %d warm", coldFailed, warmFailed)
+	}
+	if after.Hits == mid.Hits {
+		t.Fatal("warm pass recorded no disk hits; the tier did not serve")
+	}
+	if after.Corrupt != before.Corrupt {
+		t.Fatalf("%d corrupt artifacts", after.Corrupt-before.Corrupt)
+	}
+	if speedup < 1.5 {
+		t.Fatalf("warm speedup %.2fx below floor 1.50x", speedup)
 	}
 }

@@ -200,57 +200,36 @@ func (r *TraceRefJSON) ref() (TraceRef, error) {
 // the inline trace string and the stored-trace reference was supplied,
 // rejecting requests that carry both.
 func requestTrace(s *Service, inline string, ref *TraceRefJSON) (*bitseq.Bits, error) {
-	bits, _, err := requestTraceGrouped(s, inline, ref)
-	return bits, err
-}
-
-// requestTraceGrouped is requestTrace plus the coalescing group key the
-// batch plane buckets the request under: the trace-store key for a
-// stored-trace reference, a content hash for an inline trace.
-func requestTraceGrouped(s *Service, inline string, ref *TraceRefJSON) (*bitseq.Bits, string, error) {
 	if ref == nil {
 		bits, err := bitseq.FromString(inline)
 		if err != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrInvalid, err)
+			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		return bits, GroupKeyForTrace(bits), nil
+		return bits, nil
 	}
 	if inline != "" {
-		return nil, "", fmt.Errorf("%w: request carries both an inline trace and a workload reference", ErrInvalid)
+		return nil, fmt.Errorf("%w: request carries both an inline trace and a workload reference", ErrInvalid)
 	}
 	r, err := ref.ref()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	bits, err := s.ResolveTrace(r)
-	if err != nil {
-		return nil, "", err
-	}
-	return bits, r.GroupKey(), nil
+	return s.ResolveTrace(r)
 }
 
 // NewHandler exposes the service over HTTP:
 //
-//	POST /v1/design         — trace + options → machine JSON, VHDL, area, stats
-//	POST /v1/simulate       — machine + trace → prediction accuracy
-//	POST /v1/search         — trace + options → evolved predictor (mode: exact|adaptive)
-//	POST /v1/batch/design   — NDJSON stream of design requests, coalesced
-//	POST /v1/batch/simulate — NDJSON stream of simulate requests, coalesced
-//	GET  /healthz           — liveness probe
-//	GET  /metrics           — text metrics exposition
-//	GET  /v1/cache/manifest — disk-tier artifact listing (only with Config.CacheServe)
-//	GET  /v1/cache/artifact — one verified artifact by kind+key (only with Config.CacheServe)
+//	POST /v1/design   — trace + options → machine JSON, VHDL, area, stats
+//	POST /v1/simulate — machine + trace → prediction accuracy
+//	POST /v1/search   — trace + options → evolved predictor (mode: exact|adaptive)
+//	GET  /healthz     — liveness probe
+//	GET  /metrics     — text metrics exposition
 //
 // Request bodies and responses are JSON except /healthz and /metrics.
 // All POST endpoints accept either an inline "trace" string or a
-// "workload" stored-trace reference (see TraceRefJSON). The batch
-// endpoints stream one response line per request line, possibly out of
-// order (see BatchDesignLine); they must be served without response
-// buffering (http.TimeoutHandler breaks the streaming contract).
+// "workload" stored-trace reference (see TraceRefJSON).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/batch/design", ndjsonHandler(s.processBatchDesign))
-	mux.HandleFunc("POST /v1/batch/simulate", ndjsonHandler(s.processBatchSimulate))
 	mux.HandleFunc("POST /v1/design", func(w http.ResponseWriter, r *http.Request) {
 		var req DesignRequest
 		if err := decodeJSON(w, r, &req); err != nil {
@@ -326,12 +305,6 @@ func NewHandler(s *Service) http.Handler {
 		resp.Racing.Deduped = res.Racing.Deduped
 		writeJSON(w, http.StatusOK, resp)
 	})
-	if s.disk != nil && s.cacheServe {
-		// Peer-warming plane (operator opt-in): a cold process lists this
-		// one's artifacts and fetches them by content address, verifying
-		// each locally before install.
-		mux.Handle("GET /v1/cache/", http.StripPrefix("/v1/cache", s.disk.Handler()))
-	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, "ok\n")

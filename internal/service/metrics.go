@@ -90,42 +90,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// defaultSizeBuckets span the coalescing group sizes the batch plane
-// produces: singletons up to the largest configurable flush.
-var defaultSizeBuckets = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// SizeHistogram is the count-valued sibling of Histogram: fixed
-// power-of-two buckets over dimensionless sizes (flush group sizes,
-// queue lengths) instead of durations. Buckets are cumulative at
-// exposition time, Prometheus style. Safe for concurrent use.
-type SizeHistogram struct {
-	bounds  []uint64
-	buckets []atomic.Uint64 // len(bounds)+1; last is the overflow bucket
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-func newSizeHistogram(bounds []uint64) *SizeHistogram {
-	return &SizeHistogram{
-		bounds:  bounds,
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
-// Observe records one size.
-func (h *SizeHistogram) Observe(v uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *SizeHistogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total of all observed sizes.
-func (h *SizeHistogram) Sum() uint64 { return h.sum.Load() }
-
 // Metrics is a registry of named counters and histograms. Lookups
 // create-on-first-use; the returned pointers may be retained and updated
 // with atomic cost only. The zero value is not usable; call NewMetrics.
@@ -134,7 +98,6 @@ type Metrics struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	sizeHists  map[string]*SizeHistogram
 }
 
 // NewMetrics returns an empty registry.
@@ -143,7 +106,6 @@ func NewMetrics() *Metrics {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
-		sizeHists:  map[string]*SizeHistogram{},
 	}
 }
 
@@ -183,19 +145,6 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// SizeHistogram returns the named size histogram, creating it with the
-// default power-of-two buckets if needed.
-func (m *Metrics) SizeHistogram(name string) *SizeHistogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.sizeHists[name]
-	if h == nil {
-		h = newSizeHistogram(defaultSizeBuckets)
-		m.sizeHists[name] = h
-	}
-	return h
-}
-
 // WriteTo renders the registry in the Prometheus text exposition format
 // (counters and gauges as "<name> <value>", histograms as cumulative
 // _bucket/_sum/_count series), with names in sorted order within each
@@ -215,14 +164,9 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	for name := range m.histograms {
 		histNames = append(histNames, name)
 	}
-	sizeNames := make([]string, 0, len(m.sizeHists))
-	for name := range m.sizeHists {
-		sizeNames = append(sizeNames, name)
-	}
 	sort.Strings(counterNames)
 	sort.Strings(gaugeNames)
 	sort.Strings(histNames)
-	sort.Strings(sizeNames)
 	counters := make([]*Counter, len(counterNames))
 	for i, name := range counterNames {
 		counters[i] = m.counters[name]
@@ -234,10 +178,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	hists := make([]*Histogram, len(histNames))
 	for i, name := range histNames {
 		hists[i] = m.histograms[name]
-	}
-	sizeHists := make([]*SizeHistogram, len(sizeNames))
-	for i, name := range sizeNames {
-		sizeHists[i] = m.sizeHists[name]
 	}
 	m.mu.Unlock()
 
@@ -270,25 +210,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		cum += h.buckets[len(h.bounds)].Load()
 		n, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
 			name, cum, name, formatSeconds(h.Sum().Seconds()), name, h.Count())
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	for i, name := range sizeNames {
-		h := sizeHists[i]
-		var cum uint64
-		for b, bound := range h.bounds {
-			cum += h.buckets[b].Load()
-			n, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, bound, cum)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		}
-		cum += h.buckets[len(h.bounds)].Load()
-		n, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			name, cum, name, h.Sum(), name, h.Count())
 		total += int64(n)
 		if err != nil {
 			return total, err

@@ -49,43 +49,6 @@ func TestMetricsCountersAndExposition(t *testing.T) {
 	}
 }
 
-func TestSizeHistogramExposition(t *testing.T) {
-	m := NewMetrics()
-	sh := m.SizeHistogram("flush_size")
-	if sh != m.SizeHistogram("flush_size") {
-		t.Error("repeated lookup returned a different size histogram")
-	}
-	for _, v := range []uint64{1, 3, 3, 64, 1000} {
-		sh.Observe(v)
-	}
-	if sh.Count() != 5 {
-		t.Errorf("count = %d, want 5", sh.Count())
-	}
-	if sh.Sum() != 1071 {
-		t.Errorf("sum = %d, want 1071", sh.Sum())
-	}
-
-	var sb strings.Builder
-	if _, err := m.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`flush_size_bucket{le="1"} 1`,
-		`flush_size_bucket{le="2"} 1`,
-		`flush_size_bucket{le="4"} 3`,
-		`flush_size_bucket{le="64"} 4`,
-		`flush_size_bucket{le="256"} 4`,
-		`flush_size_bucket{le="+Inf"} 5`,
-		"flush_size_sum 1071\n",
-		"flush_size_count 5\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestMetricsConcurrentUse(t *testing.T) {
 	m := NewMetrics()
 	var wg sync.WaitGroup

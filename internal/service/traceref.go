@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fsmpredict/internal/bitseq"
-	"fsmpredict/internal/tracestore"
 	"fsmpredict/internal/workload"
 )
 
@@ -33,22 +32,6 @@ type TraceRef struct {
 	// PC selects one static branch's substream; 0 means the global
 	// outcome stream.
 	PC uint64
-}
-
-// GroupKey is the coalescing group key of the referenced trace: the
-// trace-store content address plus the substream selector. Batched
-// requests over the same stored trace (or the same branch's local
-// substream) share a group and therefore a kernel pass.
-func (r TraceRef) GroupKey() string {
-	events := r.Events
-	if events == 0 {
-		events = defaultRefEvents
-	}
-	key := tracestore.Key{Kind: "branch", Program: r.Program, Variant: r.Variant, Events: events}.String()
-	if r.PC != 0 {
-		key += fmt.Sprintf("/pc=%#x", r.PC)
-	}
-	return key
 }
 
 // ResolveTrace materializes a trace reference against the service's

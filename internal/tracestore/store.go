@@ -25,8 +25,8 @@ type Key struct {
 	Events int
 }
 
-// String renders the key in its canonical one-line form — the content
-// address the serving layer's batch plane groups coalesced requests by.
+// String renders the key in its canonical one-line form, from which
+// the disk tier's artifact addresses are derived.
 func (k Key) String() string {
 	return fmt.Sprintf("%s:%s/%s/%d", k.Kind, k.Program, k.Variant, k.Events)
 }
