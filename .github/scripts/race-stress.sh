@@ -38,13 +38,13 @@ group() {
 }
 
 group "parallel fan-out + trace store" \
-	'TestMapStress|TestMapContextCancel|ParallelDeterministic|TestStoreSingleflightStress|TestSharedStoreConcurrentMixedKinds|TestTrainCustomPackedMemo|TestDeriveSingleflight' \
+	'TestMapStress|TestMapContextCancel|ParallelDeterministic|TestStoreSingleflightStress|TestSharedStoreConcurrentMixedKinds|TestTrainCustomPackedMemo|TestDeriveSingleflight|TestStoreEvictionStress' \
 	./internal/par/ ./internal/bpred/ ./internal/experiments/ ./internal/tracestore/
 group "concurrent fast-path designs" \
 	'TestConcurrentFastPathDesignsRace|TestFastPathEqualsPipeline' \
 	./internal/service/ ./internal/core/
 group "shared block-table cache" \
-	'TestBlockTableCacheConcurrent|TestRunCustomPrefixesParallelMatches|TestDoSingleflight' \
+	'TestBlockTableCacheConcurrent|TestRunCustomPrefixesParallelMatches|TestDoSingleflight|TestDoPanicWaitersRecompute' \
 	./internal/fsm/ ./internal/bpred/ ./internal/memo/
 group "fleet kernel sharding" \
 	'TestFleetConcurrent|TestFleetMatchesSimulatePacked|TestSearchWorkersInvariant|TestFleetDedup' \

@@ -22,7 +22,7 @@ func streamFixtures(t *testing.T) ([]trace.LoadEvent, *tracestore.ConfStreams) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := tracestore.Shared.Loads(p, workload.Test, streamTestEvents)
+	loads := p.Generate(workload.Test, streamTestEvents)
 	cs := tracestore.Shared.ConfStreams(p, workload.Test, streamTestEvents, streamTestLog2)
 	return loads, cs
 }

@@ -5,7 +5,7 @@ import (
 
 	"fsmpredict/internal/confidence"
 	"fsmpredict/internal/markov"
-	"fsmpredict/internal/tracestore"
+	"fsmpredict/internal/trace"
 	"fsmpredict/internal/workload"
 )
 
@@ -33,7 +33,7 @@ func TestFigure2MatchesLegacyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalLoads := tracestore.Shared.Loads(target, workload.Test, full.LoadEvents)
+	evalLoads := target.Generate(workload.Test, full.LoadEvents)
 	wantSUD := confidence.SUDSweep(evalLoads, full.TableLog2)
 	if len(got.SUD) != len(wantSUD) {
 		t.Fatalf("SUD sweep lengths differ: %d vs %d", len(got.SUD), len(wantSUD))
@@ -44,13 +44,15 @@ func TestFigure2MatchesLegacyPipeline(t *testing.T) {
 		}
 	}
 
+	var trainLoads [][]trace.LoadEvent
+	for _, p := range workload.LoadSuite() {
+		if p.Name != program {
+			trainLoads = append(trainLoads, p.Generate(workload.Train, full.LoadEvents))
+		}
+	}
 	for _, h := range full.Histories {
 		model := markov.New(h)
-		for _, p := range workload.LoadSuite() {
-			if p.Name == program {
-				continue
-			}
-			loads := tracestore.Shared.Loads(p, workload.Train, full.LoadEvents)
+		for _, loads := range trainLoads {
 			if err := model.Merge(confidence.PerEntryCorrectnessModel(loads, full.TableLog2, h)); err != nil {
 				t.Fatal(err)
 			}

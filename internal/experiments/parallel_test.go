@@ -89,10 +89,11 @@ func TestFigure5WarmEqualsCold(t *testing.T) {
 	if _, err := Figure4(cfg, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := tracestore.Shared.BranchesByName("gs", workload.Train, cfg.BranchEvents)
+	prog, err := workload.ByName("gs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gs := tracestore.Shared.Branches(prog, workload.Train, cfg.BranchEvents)
 	memo, err := bpred.TrainCustomPacked(gs,
 		bpred.TrainOptions{MaxEntries: cfg.MaxCustom, Order: cfg.Order, MinExecutions: 64})
 	if err != nil {

@@ -71,8 +71,8 @@ const (
 )
 
 var (
-	fitnessCache = memo.New[Key, float64](memoEntries, func(float64) uint64 { return memoEntryBytes })
-	sweepCache   = memo.New[Key, []fsm.SimResult](sweepEntries, func(v []fsm.SimResult) uint64 {
+	fitnessCache = memo.New[Key, float64](memoEntries, 0, func(float64) uint64 { return memoEntryBytes })
+	sweepCache   = memo.New[Key, []fsm.SimResult](sweepEntries, 0, func(v []fsm.SimResult) uint64 {
 		return uint64(16*len(v)) + 64
 	})
 	disk atomic.Pointer[disktier.Store]

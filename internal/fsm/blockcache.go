@@ -14,7 +14,7 @@ import "fsmpredict/internal/memo"
 // identity.
 const blockCacheEntries = 512
 
-var blockCache = memo.New[uint64, *BlockTable](blockCacheEntries, (*BlockTable).Bytes)
+var blockCache = memo.New[uint64, *BlockTable](blockCacheEntries, 0, (*BlockTable).Bytes)
 
 // BlockTableFor returns the shared closure table for a machine,
 // compiling and caching it on first use. It returns nil when the

@@ -575,6 +575,56 @@ func TestEvaluateUnreachableVariantNoWalk(t *testing.T) {
 	}
 }
 
+// TestEvaluateMemoHitAnchorsRace: a memo-served cohort member competes
+// for the same top-Pool slots as the raced lanes, so its exact miss
+// must anchor the racing bar. With Pool 1 and the only strong machine
+// served by the memo, both weak lanes are pruned; without the anchor the
+// bar would come from the weak lanes alone and the better of them would
+// survive to full fidelity.
+func TestEvaluateMemoHitAnchorsRace(t *testing.T) {
+	// 95% taken: the counter mispredicts about 5%, its negation and
+	// the anti-last predictor about 90%.
+	rng := rand.New(rand.NewSource(3))
+	trace := make([]bool, 1<<16)
+	for i := range trace {
+		trace[i] = rng.Float64() < 0.95
+	}
+	counter := func(invert bool) *fsm.Machine {
+		// 2-bit saturating counter, or its negation.
+		return &fsm.Machine{
+			Output: []bool{invert, invert, !invert, !invert},
+			Next:   [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+		}
+	}
+	// Predicts the opposite of the last outcome.
+	antiLast := &fsm.Machine{Output: []bool{true, false}, Next: [][2]int{{0, 1}, {0, 1}}}
+
+	fidelity.ResetMemo()
+	res := &Result{}
+	ev := newEvaluator(trace, Options{States: 4, Population: 8, Elite: 1, Pool: 1, Warmup: 64, Adaptive: true}.withDefaults(), res)
+	if ev.ladder == nil {
+		t.Fatal("ladder not built on a 64k-event trace")
+	}
+	if _, _, err := ev.evaluate([]*genome{{m: counter(false)}}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	strong, weakA, weakB := &genome{m: counter(false)}, &genome{m: counter(true)}, &genome{m: antiLast}
+	raced, pruned, err := ev.evaluate([]*genome{strong, weakA, weakB}, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Racing.MemoHits != 1 || !strong.exact {
+		t.Fatalf("strong machine not served by the memo: %d memo hits, exact %v", res.Racing.MemoHits, strong.exact)
+	}
+	if raced != 2 || pruned != 2 || weakA.exact || weakB.exact {
+		t.Fatalf("raced %d, pruned %d (weak lanes exact %v, %v); want both weak lanes pruned against the memo hit",
+			raced, pruned, weakA.exact, weakB.exact)
+	}
+	if weakA.miss <= strong.miss || weakB.miss <= strong.miss {
+		t.Fatalf("weak estimates %v, %v not above the strong machine's %v", weakA.miss, weakB.miss, strong.miss)
+	}
+}
+
 // BenchmarkSearchAdaptive races the adaptive evaluator against the
 // exact oracle on a real workload trace — the PR's headline speedup.
 // Both arms reset the fitness memo every iteration so the measurement

@@ -2,14 +2,14 @@
 // shared by the serving layer and the simulation kernels: an LRU map
 // with singleflight request coalescing and hit/miss/byte statistics.
 //
-// It generalizes the two caches that grew independently in earlier
-// revisions — the service's design-result LRU and the trace store's
-// singleflight table — into one type: values are immutable once
-// inserted and shared by all readers, concurrent requests for a missing
-// key block on the one in-flight computation instead of duplicating
-// it, and an optional validator lets callers content-verify a hit when
-// the key is a lossy digest of the source (the fsm block-table cache
-// keys on a 64-bit machine hash and re-checks the machine itself).
+// It is the one cache type behind the service's design results, the
+// fsm block tables, the fidelity fitness and sweep memos and the trace
+// store: values are immutable once inserted and shared by all readers,
+// concurrent requests for a missing key block on the one in-flight
+// computation instead of duplicating it, and an optional validator lets
+// callers content-verify a hit when the key is a lossy digest of the
+// source (the fsm block-table cache keys on a 64-bit machine hash and
+// re-checks the machine itself).
 package memo
 
 import (
@@ -40,6 +40,7 @@ type Stats struct {
 type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	max      int
+	maxBytes uint64 // 0 = no byte bound
 	size     func(V) uint64
 	order    *list.List // front = most recently used; values are *entry[K, V]
 	byKey    map[K]*list.Element
@@ -61,24 +62,33 @@ type entry[K comparable, V any] struct {
 	val V
 }
 
+// flight is one singleflight slot. ok records that val was produced
+// (computed or loaded from the second tier); a slot whose compute
+// panicked closes done with ok false.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
+	ok   bool
 }
 
 // New returns a cache holding at most max entries (max < 1 is treated
-// as 1). size, if non-nil, reports the retained bytes of a value for
-// the Stats accounting; it is called once per insertion and eviction.
-func New[K comparable, V any](max int, size func(V) uint64) *Cache[K, V] {
+// as 1) and, when maxBytes > 0, at most maxBytes of values as reported
+// by size — except that the newest entry is always kept, so one value
+// larger than maxBytes is still served and cached alone. size, if
+// non-nil, reports the retained bytes of a value for the bound and the
+// Stats accounting; it is called once per insertion and eviction and
+// must return the same figure both times.
+func New[K comparable, V any](max int, maxBytes uint64, size func(V) uint64) *Cache[K, V] {
 	if max < 1 {
 		max = 1
 	}
 	return &Cache[K, V]{
-		max:    max,
-		size:   size,
-		order:  list.New(),
-		byKey:  make(map[K]*list.Element),
-		flight: make(map[K]*flight[V]),
+		max:      max,
+		maxBytes: maxBytes,
+		size:     size,
+		order:    list.New(),
+		byKey:    make(map[K]*list.Element),
+		flight:   make(map[K]*flight[V]),
 	}
 }
 
@@ -98,7 +108,7 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Put inserts a value, replacing any existing entry for the key and
-// evicting the least recently used entries beyond the bound.
+// evicting the least recently used entries beyond the bounds.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -113,13 +123,15 @@ func (c *Cache[K, V]) putLocked(k K, v V) {
 		}
 		e.val = v
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.byKey[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
+		if c.size != nil {
+			c.bytes += c.size(v)
+		}
 	}
-	c.byKey[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
-	if c.size != nil {
-		c.bytes += c.size(v)
-	}
-	for c.order.Len() > c.max {
+	// The one eviction loop: drop from the cold end while either bound
+	// is exceeded, never the entry just inserted.
+	for c.order.Len() > c.max || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.order.Len() > 1) {
 		c.removeLocked(c.order.Back())
 	}
 }
@@ -185,10 +197,10 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		if f, ok := c.flight[k]; ok {
 			c.mu.Unlock()
 			<-f.done
-			// The in-flight computation may have been for a colliding
-			// source; re-validate before sharing, else retry as the
-			// computing caller.
-			if valid == nil || valid(f.val) {
+			// The in-flight computation may have panicked or been for a
+			// colliding source; share only a finished, valid value, else
+			// retry as the computing caller.
+			if f.ok && (valid == nil || valid(f.val)) {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
@@ -201,26 +213,25 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		t2load, t2store := c.tier2Load, c.tier2Store
 		c.mu.Unlock()
 
-		// Always release waiters and clear the flight, even if compute
-		// panics (waiters then see the zero value, fail validation and
-		// recompute for themselves).
-		computed := false
+		// Always clear the flight and release waiters, even if compute
+		// panics (f.ok is then false and waiters recompute for
+		// themselves). The flight leaves the map before done closes, so
+		// a released waiter never finds the finished slot again.
 		defer func() {
-			close(f.done)
 			c.mu.Lock()
 			delete(c.flight, k)
-			if computed {
+			if f.ok {
 				c.putLocked(k, f.val)
 			}
 			c.mu.Unlock()
+			close(f.done)
 		}()
 		if t2load != nil {
 			if v, ok := t2load(k); ok && (valid == nil || valid(v)) {
 				c.mu.Lock()
 				c.tierHits++
 				c.mu.Unlock()
-				f.val = v
-				computed = true
+				f.val, f.ok = v, true
 				return f.val
 			}
 		}
@@ -228,7 +239,7 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		c.misses++
 		c.mu.Unlock()
 		f.val = compute()
-		computed = true
+		f.ok = true
 		if t2store != nil {
 			t2store(k, f.val)
 		}

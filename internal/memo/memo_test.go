@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestGetPutLRU(t *testing.T) {
-	c := New[int, string](2, func(s string) uint64 { return uint64(len(s)) })
+	c := New[int, string](2, 0, func(s string) uint64 { return uint64(len(s)) })
 	if _, ok := c.Get(1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -38,7 +39,7 @@ func TestGetPutLRU(t *testing.T) {
 }
 
 func TestPutReplaceAdjustsBytes(t *testing.T) {
-	c := New[int, string](4, func(s string) uint64 { return uint64(len(s)) })
+	c := New[int, string](4, 0, func(s string) uint64 { return uint64(len(s)) })
 	c.Put(1, "aaaa")
 	c.Put(1, "b")
 	if st := c.Stats(); st.Bytes != 1 || st.Entries != 1 {
@@ -47,7 +48,7 @@ func TestPutReplaceAdjustsBytes(t *testing.T) {
 }
 
 func TestDoComputesOnceAndCaches(t *testing.T) {
-	c := New[string, int](8, nil)
+	c := New[string, int](8, 0, nil)
 	calls := 0
 	compute := func() int { calls++; return 42 }
 	if v := c.Do("k", nil, compute); v != 42 {
@@ -66,7 +67,7 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 }
 
 func TestDoValidationDropsStaleEntry(t *testing.T) {
-	c := New[int, int](8, nil)
+	c := New[int, int](8, 0, nil)
 	c.Put(7, 100)
 	got := c.Do(7, func(v int) bool { return v == 200 }, func() int { return 200 })
 	if got != 200 {
@@ -81,7 +82,7 @@ func TestDoValidationDropsStaleEntry(t *testing.T) {
 }
 
 func TestDoSingleflight(t *testing.T) {
-	c := New[int, int](8, nil)
+	c := New[int, int](8, 0, nil)
 	const goroutines = 32
 	var (
 		calls   atomic.Int32
@@ -118,7 +119,7 @@ func TestDoSingleflight(t *testing.T) {
 }
 
 func TestBoundNeverExceeded(t *testing.T) {
-	c := New[int, int](3, nil)
+	c := New[int, int](3, 0, nil)
 	for i := 0; i < 100; i++ {
 		c.Put(i, i)
 		if c.Len() > 3 {
@@ -127,10 +128,90 @@ func TestBoundNeverExceeded(t *testing.T) {
 	}
 }
 
+// TestByteBoundKeepsNewest: the byte bound evicts from the cold end,
+// but the entry just inserted always stays, even when it alone exceeds
+// the bound.
+func TestByteBoundKeepsNewest(t *testing.T) {
+	c := New[int, string](100, 10, func(s string) uint64 { return uint64(len(s)) })
+	c.Put(1, "aaaa")
+	c.Put(2, "bbbb")
+	c.Put(3, "cccc") // 12 bytes > 10: key 1 goes
+	if _, ok := c.Get(1); ok {
+		t.Fatal("expected 1 evicted by the byte bound")
+	}
+	if st := c.Stats(); st.Bytes != 8 || st.Entries != 2 {
+		t.Fatalf("after byte eviction: %+v, want 8 bytes in 2 entries", st)
+	}
+	big := string(make([]byte, 25))
+	c.Put(4, big)
+	if v, ok := c.Get(4); !ok || v != big {
+		t.Fatal("oversized newest entry not kept")
+	}
+	if st := c.Stats(); st.Bytes != 25 || st.Entries != 1 {
+		t.Fatalf("after oversized insert: %+v, want it alone", st)
+	}
+	c.Do(5, nil, func() string { return "e" })
+	if _, ok := c.Get(4); ok {
+		t.Fatal("oversized entry survived a newer insert")
+	}
+	if st := c.Stats(); st.Bytes != 1 || st.Entries != 1 {
+		t.Fatalf("after Do: %+v, want 1 byte in 1 entry", st)
+	}
+}
+
+// TestDoPanicWaitersRecompute: when compute panics, callers waiting on
+// that computation must not be handed the zero value; they retry and
+// compute for themselves, even without a validator.
+func TestDoPanicWaitersRecompute(t *testing.T) {
+	c := New[int, *int](4, 0, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		c.Do(1, nil, func() *int {
+			close(started)
+			<-release
+			panic("compute failed")
+		})
+	}()
+	<-started
+	got := make(chan *int)
+	go func() {
+		got <- c.Do(1, nil, func() *int { v := 7; return &v })
+	}()
+	// Release the panicking compute only once the second caller is
+	// parked on its flight.
+	for !waitingInDo() {
+		runtime.Gosched()
+	}
+	close(release)
+	if v := <-got; v == nil || *v != 7 {
+		t.Fatalf("waiter got %v, want its own recomputed 7", v)
+	}
+	if v, ok := c.Get(1); !ok || *v != 7 {
+		t.Fatal("recomputed value not cached")
+	}
+}
+
+// waitingInDo reports whether some goroutine is blocked on a channel
+// receive directly inside Cache.Do, i.e. waiting on another caller's
+// flight.
+func waitingInDo() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		lines := bytes.SplitN(g, []byte("\n"), 3)
+		if len(lines) >= 2 && bytes.Contains(lines[0], []byte("[chan receive")) &&
+			bytes.Contains(lines[1], []byte("memo.(*Cache[")) && bytes.Contains(lines[1], []byte(").Do(")) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestTier2HitDistinguishedFromRecompute(t *testing.T) {
 	disk := map[int]int{7: 70}
 	var loads, stores, computes int
-	c := New[int, int](4, nil)
+	c := New[int, int](4, 0, nil)
 	c.SetTier2(
 		func(k int) (int, bool) { loads++; v, ok := disk[k]; return v, ok },
 		func(k, v int) { stores++; disk[k] = v },
@@ -161,7 +242,7 @@ func TestTier2HitDistinguishedFromRecompute(t *testing.T) {
 }
 
 func TestTier2ValueValidated(t *testing.T) {
-	c := New[int, int](4, nil)
+	c := New[int, int](4, 0, nil)
 	c.SetTier2(
 		func(k int) (int, bool) { return 666, true }, // corrupt/stale tier-2 value
 		nil,
@@ -177,7 +258,7 @@ func TestTier2ValueValidated(t *testing.T) {
 }
 
 func TestClearDropsEntriesKeepsStats(t *testing.T) {
-	c := New[int, int](4, func(int) uint64 { return 1 })
+	c := New[int, int](4, 0, func(int) uint64 { return 1 })
 	c.Do(1, nil, func() int { return 10 })
 	c.Do(1, nil, func() int { return -1 })
 	c.Clear()

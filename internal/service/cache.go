@@ -61,7 +61,7 @@ func resultBytes(r *Result) uint64 {
 }
 
 func newDesignCache(max int) *designCache {
-	return &designCache{c: memo.New[cacheKey, *Result](max, resultBytes)}
+	return &designCache{c: memo.New[cacheKey, *Result](max, 0, resultBytes)}
 }
 
 // get returns the cached result for the key, refreshing its recency.

@@ -12,7 +12,9 @@ import (
 const defaultRefEvents = 250_000
 
 // maxRefEvents bounds how long a trace a single request may ask the
-// store to generate, so one request cannot balloon process memory.
+// store to generate. The store evicts past its byte bound but always
+// keeps the newest trace, so this caps the one entry that may exceed
+// the bound (16M events pack to about 132 MB).
 const maxRefEvents = 16_000_000
 
 // TraceRef names a stored workload trace instead of carrying outcomes

@@ -231,3 +231,52 @@ func TestMetricsExposeTracestoreGauges(t *testing.T) {
 		t.Errorf("exposition missing byte gauge %d:\n%s", st.Bytes, after)
 	}
 }
+
+// TestResolveTraceBytesBounded resolves distinct event counts whose
+// traces add up past the trace store's 128 MiB bound: the resident-bytes
+// gauge must stay at or below the bound plus one entry.
+func TestResolveTraceBytesBounded(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("generates about 165 MB of traces, several times that under -race")
+	}
+	const bound = 128 << 20
+	s, _, _ := newRefServer(t)
+	// Descending counts make the first entry the largest.
+	var entry, total uint64
+	for i := 0; i < 10; i++ {
+		if _, err := s.ResolveTrace(TraceRef{Program: "gsm", Variant: "train", Events: 2_000_000 - 64*i}); err != nil {
+			t.Fatal(err)
+		}
+		resident := gaugeValue(t, s, "fsmpredict_tracestore_bytes")
+		if i == 0 {
+			entry = resident
+		}
+		total += entry
+		if resident > bound+entry {
+			t.Fatalf("after %d traces: %d resident bytes, bound %d + entry %d", i+1, resident, bound, entry)
+		}
+	}
+	if total <= bound+entry {
+		t.Fatalf("requested traces total %d bytes, not past the bound %d + entry %d", total, bound, entry)
+	}
+}
+
+// gaugeValue reads one unlabelled metric from the service's exposition.
+func gaugeValue(t *testing.T, s *Service, name string) uint64 {
+	t.Helper()
+	var buf strings.Builder
+	if _, err := s.Metrics().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var n uint64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metric %s not exposed", name)
+	return 0
+}

@@ -46,6 +46,11 @@ type ConfStreams struct {
 // Loads returns the number of load events the streams were built from.
 func (c *ConfStreams) Loads() int { return c.Valid.Len() }
 
+// Bytes estimates the retained size of the streams (the store's bytes
+// metric): four bit streams cover every load twice, as the global and
+// the segment view.
+func (c *ConfStreams) Bytes() uint64 { return uint64(4 * c.Loads() / 8) }
+
 // BuildConfStreams runs the two-delta stride predictor once over the
 // load trace and packs the resulting correctness bits. The segmentation
 // matches the confidence harness exactly: a new segment opens when an
@@ -86,8 +91,9 @@ func (c *ConfStreams) indexSpans() {
 	}
 }
 
-// confKey addresses one simulated confidence-stream set: the load trace
-// plus the value-predictor table size the streams depend on.
+// confKey is the store's cache key: a trace key plus, for load traces,
+// the value-predictor table size the confidence streams depend on (0
+// for branch traces).
 type confKey struct {
 	Key
 	TableLog2 int
@@ -95,50 +101,12 @@ type confKey struct {
 
 // ConfStreams returns the packed correctness streams of (program,
 // variant, n) under a 2^tableLog2-entry stride predictor, simulating
-// them on first request. Concurrent requests for the same key share one
-// simulation; the underlying load trace comes from (and is retained by)
-// the same store.
+// them unless they are resident. Concurrent requests for the same key
+// share one simulation. The load trace feeding it is generated inside
+// the same slot and dropped once the streams are built.
 func (s *Store) ConfStreams(p *workload.LoadProgram, v workload.Variant, n, tableLog2 int) *ConfStreams {
 	key := confKey{Key: LoadKey(p.Name, v, n), TableLog2: tableLog2}
-	s.mu.Lock()
-	if s.confs == nil {
-		s.confs = make(map[confKey]*flight[*ConfStreams])
-	}
-	if f, ok := s.confs[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[*ConfStreams]{done: make(chan struct{})}
-	s.confs[key] = f
-	disk := s.disk
-	s.mu.Unlock()
-
-	if cs, ok := s.diskLoadConf(disk, key); ok {
-		// A disk hit skips not only the stride-predictor simulation but
-		// the load-trace generation feeding it.
-		s.tierHits.Add(1)
-		f.val = cs
-	} else {
-		s.misses.Add(1)
-		f.val = BuildConfStreams(s.Loads(p, v, n), tableLog2)
-		if disk != nil {
-			disk.Put(confKind, confVersion, confAddress(key), encodeConfStreams(f.val))
-		}
-	}
-	// Four bit streams cover every load twice (global + segment view).
-	s.bytes.Add(uint64(4 * f.val.Loads() / 8))
-	close(f.done)
-	return f.val
-}
-
-// ConfStreamsByName is ConfStreams for a benchmark looked up in the
-// load suite.
-func (s *Store) ConfStreamsByName(program string, v workload.Variant, n, tableLog2 int) (*ConfStreams, error) {
-	p, err := workload.LoadByName(program)
-	if err != nil {
-		return nil, err
-	}
-	return s.ConfStreams(p, v, n, tableLog2), nil
+	return s.c.Do(key, nil, func() sized {
+		return BuildConfStreams(p.Generate(v, n), tableLog2)
+	}).(*ConfStreams)
 }

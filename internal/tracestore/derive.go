@@ -10,9 +10,9 @@ import (
 // trace in a process derives each artifact once. Packed and ConfStreams
 // embed it, which gives them their Derive method.
 //
-// Artifacts live and die with their trace: a Store.Clear drops the trace
-// and with it everything derived from it, and nothing here is written to
-// the disk tier. The zero value is ready to use.
+// Artifacts live and die with their trace: a Store.Clear or the store's
+// eviction drops the trace and with it everything derived from it, and
+// nothing here is written to the disk tier. The zero value is ready to use.
 type derived struct {
 	slots sync.Map // key -> *derivedSlot
 }

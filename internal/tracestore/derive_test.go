@@ -75,10 +75,10 @@ func TestDeriveSingleflight(t *testing.T) {
 }
 
 // TestDeriveDroppedByClear checks derived artifacts share their trace's
-// lifetime: after Store.Clear the store hands out a fresh trace, and
-// deriving on it builds anew; ConfStreams memoize the same way.
+// lifetime: once Store.Clear or eviction drops a trace, the store hands
+// out a fresh trace, and deriving on it builds anew; ConfStreams
+// memoize the same way.
 func TestDeriveDroppedByClear(t *testing.T) {
-	s := NewStore()
 	prog, err := workload.ByName("gsm")
 	if err != nil {
 		t.Fatal(err)
@@ -87,24 +87,37 @@ func TestDeriveDroppedByClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type key struct{}
-	var builds int
-	build := func() (any, error) { builds++; return builds, nil }
+	for _, tc := range []struct {
+		name string
+		s    *Store
+		drop func(*Store)
+	}{
+		{"clear", NewStore(), (*Store).Clear},
+		// A one-byte bound keeps only the newest entry, so one more
+		// lookup evicts both traces.
+		{"evict", newStore(1), func(s *Store) { s.Branches(prog, workload.Test, 100) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type key struct{}
+			var builds int
+			build := func() (any, error) { builds++; return builds, nil }
 
-	for round := 1; round <= 2; round++ {
-		p := s.Branches(prog, workload.Train, 5000)
-		cs := s.ConfStreams(lp, workload.Train, 5000, 8)
-		for i := 0; i < 2; i++ {
-			if _, err := p.Derive(key{}, build); err != nil {
-				t.Fatal(err)
+			for round := 1; round <= 2; round++ {
+				p := tc.s.Branches(prog, workload.Train, 5000)
+				cs := tc.s.ConfStreams(lp, workload.Train, 5000, 8)
+				for i := 0; i < 2; i++ {
+					if _, err := p.Derive(key{}, build); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cs.Derive(key{}, build); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if builds != 2*round {
+					t.Fatalf("round %d: %d builds, want %d", round, builds, 2*round)
+				}
+				tc.drop(tc.s)
 			}
-			if _, err := cs.Derive(key{}, build); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if builds != 2*round {
-			t.Fatalf("round %d: %d builds, want %d", round, builds, 2*round)
-		}
-		s.Clear()
+		})
 	}
 }

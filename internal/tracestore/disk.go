@@ -7,7 +7,6 @@ import (
 
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/disktier"
-	"fsmpredict/internal/trace"
 )
 
 // The trace store's disk tier. Synthetic traces are pure functions of
@@ -32,25 +31,50 @@ const (
 )
 
 // SetDisk attaches a disk store beneath the trace cache (nil detaches).
-// Loads/stores run inside the per-key singleflight slot, so each
-// artifact is read or written at most once per process even under
-// concurrent demand.
+// Loads and stores run inside the per-key singleflight slot, so each
+// artifact is read or written at most once per generation even under
+// concurrent demand; a branch trace's span index is loaded, or scanned
+// and stored, in the same slot.
 func (s *Store) SetDisk(d *disktier.Store) {
-	s.mu.Lock()
-	s.disk = d
-	s.mu.Unlock()
+	if d == nil {
+		s.c.SetTier2(nil, nil)
+		return
+	}
+	s.c.SetTier2(
+		func(k confKey) (sized, bool) {
+			if k.Kind == "branch" {
+				p, ok := diskLoadPacked(d, k.Key)
+				if ok {
+					attachSpans(d, k.Key, p)
+				}
+				return p, ok
+			}
+			// A disk hit skips not only the stride-predictor simulation
+			// but the load-trace generation feeding it.
+			return diskLoadConf(d, k)
+		},
+		func(k confKey, v sized) {
+			switch v := v.(type) {
+			case *Packed:
+				d.Put(traceKind, traceVersion, branchAddress(k.Key), encodePacked(v))
+				attachSpans(d, k.Key, v)
+			case *ConfStreams:
+				d.Put(confKind, confVersion, confAddress(k), encodeConfStreams(v))
+			}
+		},
+	)
 }
 
-// Clear drops every cached trace while keeping the statistics and the
-// disk hookup — the warm-start measurement primitive: after Clear, the
-// next lookups expose the disk tier (or regeneration) underneath.
-func (s *Store) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.branches = make(map[Key]*flight[*Packed])
-	s.loads = make(map[Key]*flight[[]trace.LoadEvent])
-	s.confs = nil
-	s.bytes.Store(0)
+// attachSpans gives a branch trace its run index before the trace is
+// shared: loaded (and validated against the trace words) from the tier
+// when present, otherwise scanned once here and persisted for the next
+// process.
+func attachSpans(d *disktier.Store, k Key, p *Packed) {
+	if runs, ok := diskLoadSpans(d, k, p); ok {
+		p.seedSpanIndex(runs)
+	} else {
+		d.Put(spanKind, spanVersion, spanAddress(k), encodeSpanIndex(p.SpanIndex()))
+	}
 }
 
 // diskAddress renders a store key as a disk-tier address. Key strings
@@ -292,10 +316,7 @@ func decodeSpanIndex(payload []byte, p *Packed) ([]bitseq.Run, bool) {
 
 // diskLoadSpans consults the disk tier for a trace's run index,
 // validating it against the already-loaded trace words.
-func (s *Store) diskLoadSpans(d *disktier.Store, k Key, p *Packed) ([]bitseq.Run, bool) {
-	if d == nil {
-		return nil, false
-	}
+func diskLoadSpans(d *disktier.Store, k Key, p *Packed) ([]bitseq.Run, bool) {
 	blob, ok := d.Get(spanKind, spanVersion, spanAddress(k))
 	if !ok {
 		return nil, false
@@ -308,10 +329,7 @@ func (s *Store) diskLoadSpans(d *disktier.Store, k Key, p *Packed) ([]bitseq.Run
 // completes whole program iterations, so a trace carries at least —
 // not exactly — the key's event count; a shorter artifact cannot be
 // the key's trace and reads as a miss.
-func (s *Store) diskLoadPacked(d *disktier.Store, k Key) (*Packed, bool) {
-	if d == nil {
-		return nil, false
-	}
+func diskLoadPacked(d *disktier.Store, k Key) (*Packed, bool) {
 	blob, ok := d.Get(traceKind, traceVersion, branchAddress(k))
 	if !ok {
 		return nil, false
@@ -327,10 +345,7 @@ func (s *Store) diskLoadPacked(d *disktier.Store, k Key) (*Packed, bool) {
 // diskLoadConf consults the disk tier for confidence streams; like
 // branch traces, the underlying load generation rounds up to whole
 // iterations, so the streams must cover at least the key's load count.
-func (s *Store) diskLoadConf(d *disktier.Store, k confKey) (*ConfStreams, bool) {
-	if d == nil {
-		return nil, false
-	}
+func diskLoadConf(d *disktier.Store, k confKey) (*ConfStreams, bool) {
 	blob, ok := d.Get(confKind, confVersion, confAddress(k))
 	if !ok {
 		return nil, false

@@ -13,11 +13,12 @@
 //     traces. Synthetic workloads are deterministic functions of
 //     (program, variant, event count) — the variant folds in the seed
 //     jitter — so that tuple is the content address, and generation runs
-//     at most once per address (singleflight): concurrent requesters for
-//     the same trace block on the one in-flight generation instead of
-//     duplicating it.
+//     at most once per address while the trace is resident
+//     (singleflight): concurrent requesters for the same trace block on
+//     the one in-flight generation instead of duplicating it. Past a
+//     byte bound the least recently used traces are evicted.
 //
-// Packed traces and cached event slices are immutable after
+// Packed traces and confidence streams are immutable after
 // construction; readers share them freely without copying. Artifacts
 // computed from a trace (Packed.Derive, ConfStreams.Derive) are memoized
 // on it and share its lifetime.

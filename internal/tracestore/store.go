@@ -2,11 +2,9 @@ package tracestore
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 
-	"fsmpredict/internal/disktier"
-	"fsmpredict/internal/trace"
+	"fsmpredict/internal/memo"
 	"fsmpredict/internal/workload"
 )
 
@@ -41,49 +39,35 @@ func LoadKey(program string, v workload.Variant, events int) Key {
 	return Key{Kind: "load", Program: program, Variant: v.String(), Events: events}
 }
 
-// flight is one singleflight slot: the first requester generates, every
-// later requester blocks on done and shares the result.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-}
+// maxBytes bounds the store's resident traces. It holds the cold paper
+// grid (about 45 MB) and the serve workload's traces (about 25 MB) with
+// room to spare; past it the least recently used traces are evicted.
+// The newest trace is always kept, so one maximal service reference
+// (16M events, about 132 MB) is still served.
+const maxBytes = 128 << 20
 
-// Stats is a snapshot of a store's counters.
-type Stats struct {
-	// Hits counts lookups served from an existing (or in-flight) entry.
-	Hits uint64
-	// TierHits counts lookups served by the disk tier instead of a
-	// regeneration.
-	TierHits uint64
-	// Misses counts lookups that had to generate.
-	Misses uint64
-	// Bytes is the estimated retained size of all stored traces.
-	Bytes uint64
-}
+// Stats is a snapshot of a store's counters. Hits includes lookups
+// coalesced onto an in-flight generation, TierHits counts traces
+// served by the disk tier instead of a regeneration, and Bytes is the
+// estimated size of the resident traces.
+type Stats = memo.Stats
+
+// sized is what the store holds: a *Packed under a branch key, a
+// *ConfStreams under a load key.
+type sized interface{ Bytes() uint64 }
 
 // Store is a process-wide content-addressed trace cache with
-// singleflight generation. The zero value is not usable; call NewStore.
-// Entries live for the life of the store — the workload suite is a small
-// closed set, so there is no eviction.
+// singleflight generation and LRU eviction past a byte bound. The zero
+// value is not usable; call NewStore.
 type Store struct {
-	mu       sync.Mutex
-	branches map[Key]*flight[*Packed]
-	loads    map[Key]*flight[[]trace.LoadEvent]
-	confs    map[confKey]*flight[*ConfStreams] // lazily allocated
-	disk     *disktier.Store                   // optional second tier
-
-	hits     atomic.Uint64
-	tierHits atomic.Uint64
-	misses   atomic.Uint64
-	bytes    atomic.Uint64
+	c *memo.Cache[confKey, sized]
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		branches: make(map[Key]*flight[*Packed]),
-		loads:    make(map[Key]*flight[[]trace.LoadEvent]),
-	}
+func NewStore() *Store { return newStore(maxBytes) }
+
+func newStore(bound uint64) *Store {
+	return &Store{c: memo.New[confKey, sized](math.MaxInt, bound, sized.Bytes)}
 }
 
 // Shared is the process-wide store the experiments and the serving layer
@@ -91,93 +75,21 @@ func NewStore() *Store {
 var Shared = NewStore()
 
 // Stats snapshots the hit/miss/bytes counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:     s.hits.Load(),
-		TierHits: s.tierHits.Load(),
-		Misses:   s.misses.Load(),
-		Bytes:    s.bytes.Load(),
-	}
-}
+func (s *Store) Stats() Stats { return s.c.Stats() }
 
-// Len reports how many traces the store holds (including in-flight
-// generations).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.branches) + len(s.loads) + len(s.confs)
-}
+// Len reports how many traces the store holds (generations still in
+// flight are not counted).
+func (s *Store) Len() int { return s.c.Len() }
+
+// Clear drops every cached trace while keeping the statistics and the
+// disk hookup — the warm-start measurement primitive: after Clear, the
+// next lookups expose the disk tier (or regeneration) underneath.
+func (s *Store) Clear() { s.c.Clear() }
 
 // Branches returns the packed branch trace of (program, variant, n),
-// generating and packing it on first request. Concurrent requests for
-// the same key share one generation.
+// generating and packing it unless it is resident. Concurrent requests
+// for the same key share one generation.
 func (s *Store) Branches(p *workload.Program, v workload.Variant, n int) *Packed {
-	key := BranchKey(p.Name, v, n)
-	s.mu.Lock()
-	if f, ok := s.branches[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[*Packed]{done: make(chan struct{})}
-	s.branches[key] = f
-	disk := s.disk
-	s.mu.Unlock()
-
-	if packed, ok := s.diskLoadPacked(disk, key); ok {
-		s.tierHits.Add(1)
-		f.val = packed
-	} else {
-		s.misses.Add(1)
-		f.val = Pack(p.Generate(v, n))
-		if disk != nil {
-			disk.Put(traceKind, traceVersion, branchAddress(key), encodePacked(f.val))
-		}
-	}
-	if disk != nil {
-		// The run index rides the same singleflight slot: loaded (and
-		// validated against the trace words) from the tier when present,
-		// otherwise scanned once here and persisted for the next process.
-		if runs, ok := s.diskLoadSpans(disk, key, f.val); ok {
-			f.val.seedSpanIndex(runs)
-		} else {
-			disk.Put(spanKind, spanVersion, spanAddress(key), encodeSpanIndex(f.val.SpanIndex()))
-		}
-	}
-	s.bytes.Add(f.val.Bytes())
-	close(f.done)
-	return f.val
-}
-
-// BranchesByName is Branches for a benchmark looked up in the suite.
-func (s *Store) BranchesByName(program string, v workload.Variant, n int) (*Packed, error) {
-	p, err := workload.ByName(program)
-	if err != nil {
-		return nil, err
-	}
-	return s.Branches(p, v, n), nil
-}
-
-// Loads returns the load-value trace of (program, variant, n),
-// generating it on first request. The returned slice is shared and must
-// be treated as immutable.
-func (s *Store) Loads(p *workload.LoadProgram, v workload.Variant, n int) []trace.LoadEvent {
-	key := LoadKey(p.Name, v, n)
-	s.mu.Lock()
-	if f, ok := s.loads[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[[]trace.LoadEvent]{done: make(chan struct{})}
-	s.loads[key] = f
-	s.mu.Unlock()
-	s.misses.Add(1)
-
-	f.val = p.Generate(v, n)
-	s.bytes.Add(uint64(16 * len(f.val)))
-	close(f.done)
-	return f.val
+	key := confKey{Key: BranchKey(p.Name, v, n)}
+	return s.c.Do(key, nil, func() sized { return Pack(p.Generate(v, n)) }).(*Packed)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsmpredict/internal/bitseq"
+	"fsmpredict/internal/disktier"
 	"fsmpredict/internal/markov"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/workload"
@@ -184,10 +185,10 @@ func TestStoreDedupAndStats(t *testing.T) {
 	if c := s.Branches(prog, workload.Test, 2000); c == a {
 		t.Fatal("different variant shared a trace")
 	}
-	l1 := s.Loads(lp, workload.Train, 1000)
-	l2 := s.Loads(lp, workload.Train, 1000)
-	if &l1[0] != &l2[0] {
-		t.Fatal("same load key returned distinct slices")
+	c1 := s.ConfStreams(lp, workload.Train, 1000, 4)
+	c2 := s.ConfStreams(lp, workload.Train, 1000, 4)
+	if c1 != c2 {
+		t.Fatal("same load key returned distinct confidence streams")
 	}
 	st := s.Stats()
 	if st.Misses != 3 {
@@ -245,7 +246,7 @@ func TestStoreSingleflightStress(t *testing.T) {
 }
 
 // TestSharedStoreConcurrentMixedKinds exercises hit/miss accounting with
-// branch and load lookups racing on a fresh store.
+// branch-trace and confidence-stream lookups racing on a fresh store.
 func TestSharedStoreConcurrentMixedKinds(t *testing.T) {
 	s := NewStore()
 	lp, err := workload.LoadByName("perl")
@@ -261,7 +262,7 @@ func TestSharedStoreConcurrentMixedKinds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				s.Branches(prog, workload.Test, 1000)
-				s.Loads(lp, workload.Test, 1000)
+				s.ConfStreams(lp, workload.Test, 1000, 4)
 				total.Add(2)
 			}
 		}()
@@ -273,6 +274,100 @@ func TestSharedStoreConcurrentMixedKinds(t *testing.T) {
 	}
 	if st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2", st.Misses)
+	}
+}
+
+// TestStoreEvictionBound drives a store with a bound of about two
+// traces through distinct keys: resident bytes never exceed the bound
+// plus the newest entry, an evicted trace regenerates byte-identically,
+// and with a disk tier attached it comes back from the tier instead.
+func TestStoreEvictionBound(t *testing.T) {
+	prog, err := workload.ByName("gsm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 4000
+	entry := Pack(prog.Generate(workload.Train, events)).Bytes()
+	bound := 2*entry + entry/2
+	disk, err := disktier.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withDisk := range []bool{false, true} {
+		s := newStore(bound)
+		if withDisk {
+			s.SetDisk(disk)
+		}
+		first := s.Branches(prog, workload.Train, events)
+		for i := 1; i <= 6; i++ {
+			p := s.Branches(prog, workload.Train, events+64*i)
+			if st := s.Stats(); st.Bytes > bound+p.Bytes() {
+				t.Fatalf("disk %v: %d resident bytes after %d traces, bound %d + entry %d",
+					withDisk, st.Bytes, i+1, bound, p.Bytes())
+			}
+		}
+		if n := s.Len(); n > 3 {
+			t.Fatalf("disk %v: %d traces resident under a two-and-a-half-trace bound", withDisk, n)
+		}
+		before := s.Stats()
+		again := s.Branches(prog, workload.Train, events)
+		if again == first {
+			t.Fatalf("disk %v: the oldest trace was never evicted", withDisk)
+		}
+		if !packedEqual(again, first) {
+			t.Fatalf("disk %v: evicted trace came back different", withDisk)
+		}
+		after := s.Stats()
+		if withDisk {
+			if after.TierHits != before.TierHits+1 || after.Misses != before.Misses {
+				t.Fatalf("evicted trace not served by the disk tier: %+v -> %+v", before, after)
+			}
+		} else if after.Misses != before.Misses+1 {
+			t.Fatalf("evicted trace not regenerated: %+v -> %+v", before, after)
+		}
+	}
+}
+
+// TestStoreEvictionStress races lookups on a store whose bound holds
+// about two traces, so entries are evicted while other goroutines wait
+// on in-flight generations. Every requester must get a trace identical
+// to a fresh generation. Run under -race in CI.
+func TestStoreEvictionStress(t *testing.T) {
+	suite := workload.BranchSuite()
+	want := make([]*Packed, len(suite))
+	var largest uint64
+	for i, prog := range suite {
+		want[i] = Pack(prog.Generate(workload.Train, 1500))
+		largest = max(largest, want[i].Bytes())
+	}
+	s := newStore(2 * largest)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				for j := range suite {
+					i := (j + g) % len(suite)
+					if got := s.Branches(suite[i], workload.Train, 1500); !packedEqual(got, want[i]) {
+						t.Errorf("goroutine %d: %s trace differs from a fresh generation", g, suite[i].Name)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Bytes > 3*largest {
+		t.Fatalf("%d resident bytes, bound %d + entry %d", st.Bytes, 2*largest, largest)
+	}
+	if st.Misses <= uint64(len(suite)) {
+		t.Fatalf("misses = %d: nothing was evicted and regenerated", st.Misses)
+	}
+	if total := uint64(goroutines * 6 * len(suite)); st.Hits+st.Misses != total {
+		t.Fatalf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, total)
 	}
 }
 
