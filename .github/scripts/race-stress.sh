@@ -56,7 +56,7 @@ group "disk tier corruption + concurrency" \
 	'TestCorruption|TestConcurrentReadersWritersCorruption|TestStoreDiskTier|TestDesignDiskTier|TestBlockTableDiskTier|TestEviction' \
 	./internal/disktier/ ./internal/tracestore/ ./internal/service/ ./internal/fsm/
 group "fitness memo corruption + concurrent adaptive search" \
-	'TestMemoDiskTierAndCorruption|TestMemoConcurrency|TestSweepRoundTripDiskTier|TestSearchAdaptiveMemoWarm|TestSearchDedupSharesEvaluations|TestEvaluateUnreachableVariantNoWalk|TestHTTPSearchModes' \
-	./internal/fidelity/ ./internal/gasearch/ ./internal/service/
+	'TestMemoDiskTierAndCorruption|TestMemoConcurrency|TestSweepRoundTripDiskTier|TestSearchAdaptiveMemoWarm|TestSearchDedupSharesEvaluations|TestEvaluateUnreachableVariantNoWalk|TestHTTPSearchModes|TestTier2GetPut' \
+	./internal/fidelity/ ./internal/gasearch/ ./internal/service/ ./internal/memo/
 
 exit $failed

@@ -152,8 +152,7 @@ func trainCustomOracle(t *testing.T, events []trace.BranchEvent, opt TrainOption
 	out := make([]*CustomEntry, 0, len(chosen))
 	for _, r := range chosen {
 		design, err := core.FromModel(models[r.PC], core.Options{
-			DontCareBudget: opt.DontCareBudget,
-			Name:           fmt.Sprintf("branch_%#x", r.PC),
+			Name: fmt.Sprintf("branch_%#x", r.PC),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package bpred
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -13,7 +12,9 @@ import (
 	"fsmpredict/internal/tracestore"
 )
 
-// TrainOptions configures custom-predictor construction (§7.3).
+// TrainOptions configures custom-predictor construction (§7.3). Each
+// chosen branch is designed with the design flow's defaults (among
+// them the 1% don't-care budget of §4.3).
 type TrainOptions struct {
 	// MaxEntries is the number of custom FSM slots to fill (ranked by
 	// baseline mispredictions).
@@ -21,8 +22,6 @@ type TrainOptions struct {
 	// Order is the global history length the per-branch Markov models
 	// use; the paper uses 9 for all custom branch results.
 	Order int
-	// DontCareBudget is passed to the design flow (default 1%).
-	DontCareBudget float64
 	// MinExecutions skips branches executed fewer times in the profile,
 	// avoiding machines built from statistically meaningless models.
 	MinExecutions int
@@ -139,9 +138,6 @@ func (opt TrainOptions) validate() error {
 	if opt.Order < 1 {
 		return fmt.Errorf("bpred: Order %d must be >= 1", opt.Order)
 	}
-	if math.IsNaN(opt.DontCareBudget) || math.IsInf(opt.DontCareBudget, 0) {
-		return fmt.Errorf("bpred: DontCareBudget %v must be finite", opt.DontCareBudget)
-	}
 	return nil
 }
 
@@ -201,8 +197,7 @@ func trainCustom(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error
 	return par.MapSlice(context.Background(), opt.Workers, chosen,
 		func(i int, r Ranked) (*CustomEntry, error) {
 			design, err := core.FromModel(models[i], core.Options{
-				DontCareBudget: opt.DontCareBudget,
-				Name:           fmt.Sprintf("branch_%#x", r.PC),
+				Name: fmt.Sprintf("branch_%#x", r.PC),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bpred: designing FSM for %#x: %v", r.PC, err)

@@ -265,9 +265,10 @@ func compile(t *testing.T, ms []*fsm.Machine) []*fsm.BlockTable {
 	return tabs
 }
 
-// TestLadderRaceExactness is the ladder's core contract: with pruning
-// disabled every candidate escalates to the final rung and the verdicts
-// are bit-identical to a direct full pass AND to the scalar simulator.
+// TestLadderRaceExactness is the ladder's core contract: racing for as
+// many slots as there are candidates prunes nothing, so every candidate
+// escalates to the final rung and the verdicts are bit-identical to a
+// direct full pass AND to the scalar simulator.
 func TestLadderRaceExactness(t *testing.T) {
 	tr := driftingTrace(t, 8, 1<<14)
 	words, n := packed(tr)
@@ -285,11 +286,11 @@ func TestLadderRaceExactness(t *testing.T) {
 	}
 	tabs := compile(t, ms)
 
-	vs := l.Race(tabs, -1)
+	vs := l.RaceTop(tabs, len(tabs), nil)
 	exact := l.ScoreExact(tabs)
 	for i, v := range vs {
 		if !v.Exact {
-			t.Fatalf("candidate %d not exact with pruning disabled", i)
+			t.Fatalf("candidate %d not exact when racing for every slot", i)
 		}
 		if v.Miss != exact[i] {
 			t.Fatalf("candidate %d: race %v != full pass %v", i, v.Miss, exact[i])
@@ -302,8 +303,9 @@ func TestLadderRaceExactness(t *testing.T) {
 }
 
 // TestLadderPruning checks the racing behaviour on a cohort with a
-// clear quality spread: hopeless candidates are pruned early, anything
-// at or under the incumbent bar survives to an exact verdict, and
+// clear quality spread, racing for one slot against the incumbent's
+// exact miss as an anchor: hopeless candidates are pruned early,
+// anything at or under the incumbent survives to an exact verdict, and
 // pruned estimates never masquerade as exact.
 func TestLadderPruning(t *testing.T) {
 	tr := driftingTrace(t, 8, 1<<14)
@@ -330,7 +332,7 @@ func TestLadderPruning(t *testing.T) {
 	tabs := compile(t, ms)
 	incumbent := good.Simulate(tr, warmup).MissRate()
 
-	vs := l.Race(tabs, incumbent)
+	vs := l.RaceTop(tabs, 1, []float64{incumbent})
 	if l.Stats().Pruned == 0 {
 		t.Fatal("no candidate pruned on a cohort full of anti-predictors")
 	}
@@ -369,10 +371,11 @@ func TestWindowEstimatesWithinRadius(t *testing.T) {
 		ms = append(ms, randomMachine(rng, 2+rng.Intn(6)))
 	}
 	tabs := compile(t, ms)
-	est := l.WindowEstimates(tabs)
+	rung0 := l.tiers[0]
+	est := l.tierEstimates(rung0, tabs)
 	exact := l.ScoreExact(tabs)
 	for i := range ms {
-		r := l.WindowRadius(est[i])
+		r := radius(est[i], rung0.scored)
 		if d := math.Abs(est[i] - exact[i]); d > r {
 			t.Errorf("machine %d: window estimate %.4f vs exact %.4f, |err| %.4f > radius %.4f",
 				i, est[i], exact[i], d, r)

@@ -28,8 +28,19 @@ import (
 // anything reported is guaranteed structurally instead: see the package
 // comment.
 
-// LadderConfig configures a ladder. The zero value of every field picks
-// a sensible default at construction.
+// The ladder's screening constants. They were tuned once against the
+// search workloads and no caller varies them.
+const (
+	// windows is the rung-0 representative-window count (simpoint K);
+	// the second clustered tier uses 4x, the strided gate 16x.
+	windows = 4
+	// delta is the per-decision confidence parameter.
+	delta = 0.05
+	// slack inflates every radius to account for non-i.i.d. sampling.
+	slack = 2
+)
+
+// LadderConfig configures a ladder.
 type LadderConfig struct {
 	// Warmup outcomes at the head of the trace are not scored (the
 	// search's warm-up convention).
@@ -37,20 +48,6 @@ type LadderConfig struct {
 	// Workers bounds each fleet pass's parallel shards (<= 0 means
 	// GOMAXPROCS); results are bit-identical for any setting.
 	Workers int
-	// WindowLen is the rung-0 window length in events, rounded up to a
-	// multiple of 64 so windows stay word-aligned. Default: the largest
-	// power of two at most a 1/64 share of the scored trace, clamped to
-	// [512, 1024] — screening cost stays flat as traces grow; longer
-	// traces just get proportionally cheaper screens.
-	WindowLen int
-	// Windows is the number of representative windows (simpoint K).
-	// Default 4.
-	Windows int
-	// Delta is the per-decision confidence parameter. Default 0.05.
-	Delta float64
-	// Slack inflates every radius to account for non-i.i.d. sampling.
-	// Default 2.
-	Slack float64
 	// Seed drives the deterministic window clustering.
 	Seed int64
 }
@@ -66,8 +63,7 @@ type Verdict struct {
 	Rung int
 }
 
-// LadderStats tallies one ladder's activity (the process-wide Snapshot
-// counters aggregate the same events across all ladders).
+// LadderStats tallies one ladder's activity.
 type LadderStats struct {
 	// RungEvals counts candidate·rung evaluations run.
 	RungEvals int
@@ -112,31 +108,22 @@ type Ladder struct {
 // short for representative windows plus prefix rungs to undercut a
 // plain full pass — and callers then score at full fidelity directly.
 func NewLadder(words []uint64, n int, runs []bitseq.Run, cfg LadderConfig) *Ladder {
-	if cfg.Windows <= 0 {
-		cfg.Windows = 4
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 0.05
-	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = 2
-	}
 	if max := len(words) << 6; n > max {
 		n = max
 	}
 	scored := n - cfg.Warmup
-	winLen := cfg.WindowLen
-	if winLen <= 0 {
-		winLen = 512
-		for winLen*2 <= scored/64 && winLen < 1024 {
-			winLen *= 2
-		}
-	} else {
-		winLen = (winLen + 63) &^ 63
+	// The rung-0 window length is the largest power of two at most a
+	// 1/64 share of the scored trace, clamped to [512, 1024]: screening
+	// cost stays flat as traces grow, and longer traces just get
+	// proportionally cheaper screens. Powers of two keep windows
+	// word-aligned.
+	winLen := 512
+	for winLen*2 <= scored/64 && winLen < 1024 {
+		winLen *= 2
 	}
 	// Below ~16 windows' worth of scored trace the ladder's overhead
 	// (two window tiers for survivors) rivals the full pass.
-	if winLen < 64 || scored < 16*winLen {
+	if scored < 16*winLen {
 		return nil
 	}
 
@@ -156,7 +143,7 @@ func NewLadder(words []uint64, n int, runs []bitseq.Run, cfg LadderConfig) *Ladd
 	if err != nil {
 		return nil
 	}
-	for _, k := range []int{cfg.Windows, 4 * cfg.Windows} {
+	for _, k := range []int{windows, 4 * windows} {
 		if k*winLen > n/2 {
 			break
 		}
@@ -166,7 +153,7 @@ func NewLadder(words []uint64, n int, runs []bitseq.Run, cfg LadderConfig) *Ladd
 		}
 		l.tiers = append(l.tiers, ti)
 	}
-	if k := 16 * cfg.Windows; len(l.tiers) == 2 && k*winLen <= n/2 {
+	if k := 16 * windows; len(l.tiers) == 2 && k*winLen <= n/2 {
 		if ti, ok := l.buildStridedTier(len(vectors), k); ok {
 			l.tiers = append(l.tiers, ti)
 		}
@@ -189,64 +176,52 @@ func (l *Ladder) buildTier(vectors [][]float64, k int) (tier, bool) {
 		return tier{}, false
 	}
 	var ti tier
-	minWarm := l.winLen / 8
-	var wsum float64
 	for i, rep := range sp.Representatives {
-		off := rep * l.winLen
-		skip := minWarm
-		if off < l.cfg.Warmup {
-			if s := l.cfg.Warmup - off; s > skip {
-				skip = s
-			}
-		}
-		if skip >= l.winLen {
-			continue // window swallowed by the global warm-up
-		}
-		ti.wins = append(ti.wins, window{off: off, skip: skip, weight: sp.Weights[i]})
-		ti.scored += l.winLen - skip
-		wsum += sp.Weights[i]
+		l.addWindow(&ti, rep*l.winLen, sp.Weights[i])
 	}
-	if len(ti.wins) == 0 || wsum <= 0 {
-		return tier{}, false
-	}
-	for i := range ti.wins {
-		ti.wins[i].weight /= wsum
-	}
-	return ti, true
+	return ti, ti.normalize()
 }
 
 // buildStridedTier picks k evenly-spaced windows out of nw with uniform
 // weights — an unbiased whole-trace estimator that needs no clustering.
 func (l *Ladder) buildStridedTier(nw, k int) (tier, bool) {
-	if k > nw {
-		k = nw
-	}
+	k = min(k, nw)
 	var ti tier
-	minWarm := l.winLen / 8
 	for i := 0; i < k; i++ {
-		off := (i * nw / k) * l.winLen
-		skip := minWarm
-		if off < l.cfg.Warmup {
-			if s := l.cfg.Warmup - off; s > skip {
-				skip = s
-			}
-		}
-		if skip >= l.winLen {
-			continue
-		}
-		ti.wins = append(ti.wins, window{off: off, skip: skip, weight: 1})
-		ti.scored += l.winLen - skip
+		l.addWindow(&ti, (i*nw/k)*l.winLen, 1)
 	}
-	if len(ti.wins) == 0 {
-		return tier{}, false
-	}
-	for i := range ti.wins {
-		ti.wins[i].weight = 1 / float64(len(ti.wins))
-	}
-	return ti, true
+	return ti, ti.normalize()
 }
 
-// Stats returns this ladder's local tallies.
+// addWindow appends the window at event offset off to the tier. Its
+// unscored head covers an eighth of the window and whatever of the
+// global warm-up it overlaps; a window the warm-up swallows is dropped.
+func (l *Ladder) addWindow(ti *tier, off int, weight float64) {
+	skip := max(l.winLen/8, l.cfg.Warmup-off)
+	if skip >= l.winLen {
+		return
+	}
+	ti.wins = append(ti.wins, window{off: off, skip: skip, weight: weight})
+	ti.scored += l.winLen - skip
+}
+
+// normalize scales the tier's weights to sum to one, reporting false
+// for a tier without weight (no windows survived the warm-up).
+func (ti *tier) normalize() bool {
+	var wsum float64
+	for _, w := range ti.wins {
+		wsum += w.weight
+	}
+	if wsum <= 0 {
+		return false
+	}
+	for i := range ti.wins {
+		ti.wins[i].weight /= wsum
+	}
+	return true
+}
+
+// Stats returns this ladder's tallies.
 func (l *Ladder) Stats() LadderStats { return l.stats }
 
 // tierEstimates scores a cohort on one window tier: one fleet pass per
@@ -265,30 +240,28 @@ func (l *Ladder) tierEstimates(ti tier, tabs []*fsm.BlockTable) []float64 {
 		}
 	}
 	l.stats.RungEvals += len(tabs)
-	rungEvals.Add(uint64(len(tabs)))
 	return est
 }
 
-// WindowEstimates runs rung 0 alone, returning each candidate's
-// weighted windowed miss-rate estimate. Exposed for the
-// window-weighting tests; Race and RaceTop use it as their first stage.
-func (l *Ladder) WindowEstimates(tabs []*fsm.BlockTable) []float64 {
-	return l.tierEstimates(l.tiers[0], tabs)
+// radius is the slack-inflated empirical-Bernstein radius of an
+// estimate p over scored events — the deviation the ladder assumes
+// windowed estimates stay within.
+func radius(p float64, scored int) float64 {
+	return slack * bernsteinRadius(p, scored, delta)
 }
 
-// WindowRadius is the slack-inflated empirical-Bernstein radius of a
-// rung-0 estimate — the deviation the ladder assumes windowed estimates
-// stay within.
-func (l *Ladder) WindowRadius(p float64) float64 {
-	return l.cfg.Slack * bernsteinRadius(p, l.tiers[0].scored, l.cfg.Delta)
-}
-
-// race is the shared rung driver: it walks the window tiers, calling
-// keepFn after each tier to decide which candidates stay alive (keepFn
-// sees the tier's estimates already written into verdicts and each
-// candidate's radius), then scores the survivors on the exact
-// full-trace rung. Verdicts are positional with tabs.
-func (l *Ladder) race(tabs []*fsm.BlockTable, keep func(alive []int, verdicts []Verdict, radius func(p float64) float64) []int) []Verdict {
+// RaceTop races a cohort whose consumers only care about the top `keep`
+// candidates (a truncation-selection parent pool). It walks the window
+// tiers; after each, the pruning bar is the keep-th smallest upper
+// confidence bound across the cohort and the anchors (already-exact
+// incumbents competing for the same slots, e.g. carried elites), so
+// any candidate that plausibly belongs in the top set escalates to the
+// exact full-trace rung while confident losers stop at cheap rungs. If
+// the bounds hold, every true top-keep candidate reaches an exact
+// verdict; estimates only ever rank losers among themselves. Verdicts
+// are positional with tabs.
+func (l *Ladder) RaceTop(tabs []*fsm.BlockTable, keep int, anchors []float64) []Verdict {
+	keep = max(keep, 1)
 	verdicts := make([]Verdict, len(tabs))
 	if len(tabs) == 0 {
 		return verdicts
@@ -298,117 +271,64 @@ func (l *Ladder) race(tabs []*fsm.BlockTable, keep func(alive []int, verdicts []
 		alive[i] = i
 	}
 	for ri, ti := range l.tiers {
-		sub := make([]*fsm.BlockTable, len(alive))
-		for j, i := range alive {
-			sub[j] = tabs[i]
-		}
 		if ri > 0 {
 			l.stats.Escalated += len(alive)
-			escalated.Add(uint64(len(alive)))
 		}
-		est := l.tierEstimates(ti, sub)
+		est := l.tierEstimates(ti, subset(tabs, alive))
+		ucbs := append([]float64(nil), anchors...)
 		for j, i := range alive {
 			verdicts[i] = Verdict{Miss: est[j], Rung: ri}
+			ucbs = append(ucbs, est[j]+radius(est[j], ti.scored))
 		}
-		scored := ti.scored
-		wasAlive := len(alive)
-		alive = keep(alive, verdicts, func(p float64) float64 {
-			return l.cfg.Slack * bernsteinRadius(p, scored, l.cfg.Delta)
-		})
-		if d := wasAlive - len(alive); d > 0 {
-			l.stats.Pruned += d
-			pruned.Add(uint64(d))
+		bar := kthSmallest(ucbs, keep)
+		next := alive[:0]
+		for _, i := range alive {
+			if m := verdicts[i].Miss; m-radius(m, ti.scored) <= bar {
+				next = append(next, i)
+			}
 		}
-		if len(alive) == 0 {
+		l.stats.Pruned += len(alive) - len(next)
+		if alive = next; len(alive) == 0 {
 			return verdicts
 		}
 	}
 	l.stats.Escalated += len(alive)
-	escalated.Add(uint64(len(alive)))
-	sub := make([]*fsm.BlockTable, len(alive))
-	for j, i := range alive {
-		sub[j] = tabs[i]
-	}
-	fl := fsm.FleetOfTables(sub)
-	rs := fl.RunParallelSpans(l.cfg.Workers, l.words, l.n, l.cfg.Warmup, l.runs)
-	l.stats.RungEvals += len(alive)
-	rungEvals.Add(uint64(len(alive)))
-	for j, i := range alive {
-		verdicts[i] = Verdict{Miss: rs[j].MissRate(), Exact: true, Rung: len(l.tiers)}
+	for j, m := range l.ScoreExact(subset(tabs, alive)) {
+		verdicts[alive[j]] = Verdict{Miss: m, Exact: true, Rung: len(l.tiers)}
 	}
 	return verdicts
 }
 
-// Race scores a cohort through the ladder. incumbent is the exact miss
-// rate a candidate must plausibly beat to stay alive (the worst current
-// elite); pass a negative value to disable pruning, which escalates
-// every candidate to the exact final rung. Verdicts are positional with
-// tabs.
-func (l *Ladder) Race(tabs []*fsm.BlockTable, incumbent float64) []Verdict {
-	return l.race(tabs, func(alive []int, verdicts []Verdict, radius func(p float64) float64) []int {
-		if incumbent < 0 {
-			return alive
-		}
-		next := alive[:0]
-		for _, i := range alive {
-			if verdicts[i].Miss-radius(verdicts[i].Miss) > incumbent {
-				continue
-			}
-			next = append(next, i)
-		}
-		return next
-	})
+// subset returns tabs[i] for each i in idx.
+func subset(tabs []*fsm.BlockTable, idx []int) []*fsm.BlockTable {
+	sub := make([]*fsm.BlockTable, len(idx))
+	for j, i := range idx {
+		sub[j] = tabs[i]
+	}
+	return sub
 }
 
-// RaceTop races a cohort whose consumers only care about the top `keep`
-// candidates (a truncation-selection parent pool): at every rung the
-// pruning bar is the keep-th smallest upper confidence bound across the
-// cohort and the anchors (already-exact incumbents competing for the
-// same slots, e.g. carried elites), so any candidate that plausibly
-// belongs in the top set escalates to the exact final rung while
-// confident losers stop at cheap rungs. If the bounds hold, every true
-// top-keep candidate reaches an exact verdict; estimates only ever rank
-// losers among themselves. Verdicts are positional with tabs.
-func (l *Ladder) RaceTop(tabs []*fsm.BlockTable, keep int, anchors []float64) []Verdict {
-	if keep < 1 {
-		keep = 1
+// kthSmallest returns the k-th smallest of xs, or +Inf when xs has
+// fewer than k values (insertion into a bounded best-list; cohorts are
+// small).
+func kthSmallest(xs []float64, k int) float64 {
+	if len(xs) < k {
+		return math.Inf(1)
 	}
-	// kthSmallest returns the keep-th smallest of xs (insertion into a
-	// bounded best-list; cohorts are small).
-	kthSmallest := func(xs []float64) float64 {
-		if len(xs) < keep {
-			return math.Inf(1)
+	best := make([]float64, 0, k)
+	for _, x := range xs {
+		if len(best) < k {
+			best = append(best, x)
+		} else if x < best[k-1] {
+			best[k-1] = x
+		} else {
+			continue
 		}
-		best := make([]float64, 0, keep)
-		for _, x := range xs {
-			if len(best) < keep {
-				best = append(best, x)
-			} else if x < best[keep-1] {
-				best[keep-1] = x
-			} else {
-				continue
-			}
-			for j := len(best) - 1; j > 0 && best[j] < best[j-1]; j-- {
-				best[j], best[j-1] = best[j-1], best[j]
-			}
+		for j := len(best) - 1; j > 0 && best[j] < best[j-1]; j-- {
+			best[j], best[j-1] = best[j-1], best[j]
 		}
-		return best[keep-1]
 	}
-	return l.race(tabs, func(alive []int, verdicts []Verdict, radius func(p float64) float64) []int {
-		ucbs := append([]float64(nil), anchors...)
-		for _, i := range alive {
-			ucbs = append(ucbs, verdicts[i].Miss+radius(verdicts[i].Miss))
-		}
-		bar := kthSmallest(ucbs)
-		next := alive[:0]
-		for _, i := range alive {
-			if verdicts[i].Miss-radius(verdicts[i].Miss) > bar {
-				continue
-			}
-			next = append(next, i)
-		}
-		return next
-	})
+	return best[k-1]
 }
 
 // ScoreExact runs one full-fidelity pass over the cohort — the final
@@ -425,7 +345,6 @@ func (l *Ladder) ScoreExact(tabs []*fsm.BlockTable) []float64 {
 		out[i] = r.MissRate()
 	}
 	l.stats.RungEvals += len(tabs)
-	rungEvals.Add(uint64(len(tabs)))
 	return out
 }
 

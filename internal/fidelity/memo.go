@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sync/atomic"
 
 	"fsmpredict/internal/disktier"
 	"fsmpredict/internal/fsm"
@@ -75,55 +74,65 @@ var (
 	sweepCache   = memo.New[Key, []fsm.SimResult](sweepEntries, 0, func(v []fsm.SimResult) uint64 {
 		return uint64(16*len(v)) + 64
 	})
-	disk atomic.Pointer[disktier.Store]
-
-	hits      atomic.Uint64
-	diskHits  atomic.Uint64
-	misses    atomic.Uint64
-	rungEvals atomic.Uint64
-	pruned    atomic.Uint64
-	escalated atomic.Uint64
 )
 
-// Stats is a point-in-time snapshot of the engine's counters — the
-// source of the fsmpredict_search_* gauges.
+// Stats is a point-in-time snapshot of the fitness and sweep memos'
+// counters — the source of the fsmpredict_search_{fitness_hits,memo_bytes}
+// gauges.
 type Stats struct {
-	// Hits counts fitness-memo lookups served, from either tier.
+	// Hits counts memo lookups served, from either tier.
 	Hits uint64
 	// DiskHits counts the subset of Hits served by the disk tier.
 	DiskHits uint64
-	// Misses counts fitness-memo lookups that found nothing.
+	// Misses counts memo lookups that found nothing.
 	Misses uint64
-	// RungEvals counts candidate·rung evaluations the ladder ran.
-	RungEvals uint64
-	// Pruned counts candidates dismissed on a confidence bound.
-	Pruned uint64
-	// Escalated counts candidates promoted past the window rung.
-	Escalated uint64
 	// Entries and Bytes describe the in-process fitness tier.
 	Entries uint64
 	Bytes   uint64
 }
 
-// Snapshot returns the current counters.
+// Snapshot returns the current counters, read from the two caches.
 func Snapshot() Stats {
-	cs := fitnessCache.Stats()
+	fs, ss := fitnessCache.Stats(), sweepCache.Stats()
 	return Stats{
-		Hits:      hits.Load(),
-		DiskHits:  diskHits.Load(),
-		Misses:    misses.Load(),
-		RungEvals: rungEvals.Load(),
-		Pruned:    pruned.Load(),
-		Escalated: escalated.Load(),
-		Entries:   cs.Entries,
-		Bytes:     cs.Bytes,
+		Hits:     fs.Hits + fs.TierHits + ss.Hits + ss.TierHits,
+		DiskHits: fs.TierHits + ss.TierHits,
+		Misses:   fs.Misses + ss.Misses,
+		Entries:  fs.Entries,
+		Bytes:    fs.Bytes,
 	}
 }
 
 // SetDiskTier attaches a disk store beneath the fitness and sweep memos
 // (nil detaches). Intended to be called once at startup via
 // cachewire.Setup, alongside the block-table and trace tiers.
-func SetDiskTier(d *disktier.Store) { disk.Store(d) }
+func SetDiskTier(d *disktier.Store) {
+	setTier(fitnessCache, d, fitnessKind, fitnessVersion, encodeFitness, decodeFitness)
+	setTier(sweepCache, d, sweepKind, sweepVersion, encodeSweep, decodeSweep)
+}
+
+// setTier installs d beneath c as its second tier: a lookup that misses
+// in process reads and validates the kind's artifact, and every Put
+// writes one.
+func setTier[V any](c *memo.Cache[Key, V], d *disktier.Store, kind string, version byte,
+	enc func(V) []byte, dec func([]byte) (V, bool)) {
+	if d == nil {
+		c.SetTier2(nil, nil)
+		return
+	}
+	c.SetTier2(
+		func(k Key) (V, bool) {
+			blob, ok := d.Get(kind, version, k.hex())
+			if !ok {
+				var zero V
+				return zero, false
+			}
+			defer blob.Close()
+			return dec(blob.Data)
+		},
+		func(k Key, v V) { d.Put(kind, version, k.hex(), enc(v)) },
+	)
+}
 
 // ResetMemo drops both in-process tiers (counters and any disk tier
 // remain). Warm-start measurement uses it to force the next lookups
@@ -194,71 +203,22 @@ func DigestKey(domain string, parts ...[]byte) Key {
 	return k
 }
 
-// MemoGet returns the memoized exact miss rate for a key. On an
-// in-process miss it consults the disk tier, installing (and counting)
-// a validated artifact before returning it.
-func MemoGet(k Key) (float64, bool) {
-	if v, ok := fitnessCache.Get(k); ok {
-		hits.Add(1)
-		return v, true
-	}
-	if d := disk.Load(); d != nil {
-		if blob, ok := d.Get(fitnessKind, fitnessVersion, k.hex()); ok {
-			v, ok2 := decodeFitness(blob.Data)
-			blob.Close()
-			if ok2 {
-				fitnessCache.Put(k, v)
-				hits.Add(1)
-				diskHits.Add(1)
-				return v, true
-			}
-		}
-	}
-	misses.Add(1)
-	return 0, false
-}
+// MemoGet returns the memoized exact miss rate for a key, from either
+// tier.
+func MemoGet(k Key) (float64, bool) { return fitnessCache.Get(k) }
 
-// MemoPut records an exact full-fidelity miss rate. Callers must never
-// store estimates — the memo's whole guarantee is that a hit is
-// indistinguishable from re-running the full simulation.
-func MemoPut(k Key, miss float64) {
-	fitnessCache.Put(k, miss)
-	if d := disk.Load(); d != nil {
-		d.Put(fitnessKind, fitnessVersion, k.hex(), encodeFitness(miss))
-	}
-}
+// MemoPut records an exact full-fidelity miss rate in both tiers.
+// Callers must never store estimates — the memo's whole guarantee is
+// that a hit is indistinguishable from re-running the full simulation.
+func MemoPut(k Key, miss float64) { fitnessCache.Put(k, miss) }
 
 // SweepGet returns a memoized exact result vector (figure sweep or
-// sampled-miss batch), consulting the disk tier on an in-process miss.
-func SweepGet(k Key) ([]fsm.SimResult, bool) {
-	if v, ok := sweepCache.Get(k); ok {
-		hits.Add(1)
-		return v, true
-	}
-	if d := disk.Load(); d != nil {
-		if blob, ok := d.Get(sweepKind, sweepVersion, k.hex()); ok {
-			v, ok2 := decodeSweep(blob.Data)
-			blob.Close()
-			if ok2 {
-				sweepCache.Put(k, v)
-				hits.Add(1)
-				diskHits.Add(1)
-				return v, true
-			}
-		}
-	}
-	misses.Add(1)
-	return nil, false
-}
+// sampled-miss batch), from either tier.
+func SweepGet(k Key) ([]fsm.SimResult, bool) { return sweepCache.Get(k) }
 
-// SweepPut records an exact result vector. Like MemoPut, estimates must
-// never be stored.
-func SweepPut(k Key, v []fsm.SimResult) {
-	sweepCache.Put(k, v)
-	if d := disk.Load(); d != nil {
-		d.Put(sweepKind, sweepVersion, k.hex(), encodeSweep(v))
-	}
-}
+// SweepPut records an exact result vector in both tiers. Like MemoPut,
+// estimates must never be stored.
+func SweepPut(k Key, v []fsm.SimResult) { sweepCache.Put(k, v) }
 
 // encodeFitness renders a miss rate as its exact IEEE-754 bits.
 func encodeFitness(miss float64) []byte {

@@ -36,30 +36,27 @@ import (
 	"fsmpredict/internal/fsm"
 )
 
+// The search's fixed GA settings. No caller varies them; the parent
+// pool size derives from the population (poolSize).
+const (
+	// mutationRate is the per-gene mutation probability.
+	mutationRate = 0.02
+	// elite is how many top genomes survive unchanged.
+	elite = 2
+	// tournamentK is the tournament selection size within the parent
+	// pool.
+	tournamentK = 3
+)
+
 // Options configures a search run.
 type Options struct {
 	// States is the fixed machine size of every genome (2..64).
 	States int
-	// Population is the number of genomes per generation (default 64).
+	// Population is the number of genomes per generation (default 64;
+	// it must exceed the elite count, 2).
 	Population int
 	// Generations is the number of evolution steps (default 50).
 	Generations int
-	// MutationRate is the per-gene mutation probability, in (0,1]
-	// (0 means the default 0.02).
-	MutationRate float64
-	// Elite is how many top genomes survive unchanged (default 2).
-	Elite int
-	// Pool is the parent-pool size: each generation's children are bred
-	// by tournaments within the top-Pool genomes (truncation selection,
-	// the successive-halving shape). Keeping breeding inside an
-	// exactly-scored top set is what lets the adaptive racer prune
-	// losers on estimates without touching the trajectory: a pruned
-	// candidate's fitness is only ever compared against other losers.
-	// Default max(Elite, Population/8).
-	Pool int
-	// TournamentK is the tournament selection size within the parent
-	// pool (default 3).
-	TournamentK int
 	// Seed makes the search reproducible.
 	Seed int64
 	// Warmup outcomes at the head of the trace are not scored (>= 0).
@@ -83,28 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.Generations <= 0 {
 		o.Generations = 50
 	}
-	if o.MutationRate == 0 {
-		o.MutationRate = 0.02
-	}
-	if o.Elite <= 0 {
-		o.Elite = 2
-	}
-	if o.Pool <= 0 {
-		// P/8 parents, capped at 8: past that, tournaments of K within
-		// the pool almost never reach the extra members, and every pool
-		// slot is a full-fidelity evaluation the adaptive ladder cannot
-		// skip.
-		o.Pool = o.Population / 8
-		if o.Pool > 8 {
-			o.Pool = 8
-		}
-		if o.Pool < o.Elite {
-			o.Pool = o.Elite
-		}
-	}
-	if o.TournamentK <= 0 {
-		o.TournamentK = 3
-	}
 	return o
 }
 
@@ -112,22 +87,27 @@ func (o Options) validate() error {
 	if o.States < 2 || o.States > 64 {
 		return fmt.Errorf("gasearch: states %d out of range [2,64]", o.States)
 	}
-	if o.Elite >= o.Population {
-		return fmt.Errorf("gasearch: elite %d must be below population %d", o.Elite, o.Population)
-	}
-	if o.Pool < o.Elite || o.Pool >= o.Population {
-		return fmt.Errorf("gasearch: pool %d out of range [elite %d, population %d)",
-			o.Pool, o.Elite, o.Population)
-	}
-	// The negated form also rejects NaN, which every comparison fails
-	// (a NaN rate would silently disable mutation).
-	if !(o.MutationRate > 0 && o.MutationRate <= 1) {
-		return fmt.Errorf("gasearch: mutation rate %v out of range (0,1]", o.MutationRate)
+	if o.Population <= elite {
+		return fmt.Errorf("gasearch: population %d must exceed the elite count %d", o.Population, elite)
 	}
 	if o.Warmup < 0 {
 		return fmt.Errorf("gasearch: negative warmup %d", o.Warmup)
 	}
 	return nil
+}
+
+// poolSize is the parent-pool size for a population: each generation's
+// children are bred by tournaments within the top-pool genomes
+// (truncation selection, the successive-halving shape). Keeping
+// breeding inside an exactly-scored top set is what lets the adaptive
+// racer prune losers on estimates without touching the trajectory: a
+// pruned candidate's fitness is only ever compared against other
+// losers. P/8 parents, at least the elites and at most 8: past that,
+// tournaments within the pool almost never reach the extra members,
+// and every pool slot is a full-fidelity evaluation the adaptive
+// ladder cannot skip.
+func poolSize(population int) int {
+	return min(max(population/8, elite), 8)
 }
 
 // RacingStats reports the evaluator's activity for one search. The
@@ -209,37 +189,35 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		return nil, err
 	}
 	sortByFitness(pop)
-	if err := ev.ensureTopExact(pop, opt.Pool); err != nil {
+	if err := ev.ensureTopExact(pop, ev.pool); err != nil {
 		return nil, err
 	}
 
 	lowTraction := 0
 	for gen := 0; gen < opt.Generations; gen++ {
 		next := make([]*genome, 0, opt.Population)
-		for i := 0; i < opt.Elite; i++ {
-			next = append(next, pop[i])
-		}
+		next = append(next, pop[:elite]...)
 		// Children are bred by tournaments within the exactly-scored
-		// top-Pool parent pool. Their fitness is first read by the NEXT
+		// top-pool parent pool. Their fitness is first read by the NEXT
 		// generation's pool selection, so the whole cohort can be
 		// generated up front and scored by one fleet pass.
-		pool := pop[:opt.Pool]
+		pool := pop[:ev.pool]
 		for len(next) < opt.Population {
-			a := tournament(rng, pool, opt.TournamentK)
-			b := tournament(rng, pool, opt.TournamentK)
+			a := tournament(rng, pool)
+			b := tournament(rng, pool)
 			child := &genome{m: crossover(rng, a.m, b.m)}
-			mutate(rng, child.m, opt.MutationRate)
+			mutate(rng, child.m)
 			next = append(next, child)
 		}
 		// The carried elites anchor the racing bar (they hold pool slots
 		// with exact scores), and the ladder is dropped for good once
 		// pruning shows no traction for a few generations.
 		useLadder := ev.ladder != nil && lowTraction < tractionPatience
-		anchors := make([]float64, opt.Elite)
-		for i := 0; i < opt.Elite; i++ {
+		anchors := make([]float64, elite)
+		for i := range anchors {
 			anchors[i] = pop[i].miss
 		}
-		raced, prunedN, err := ev.evaluate(next[opt.Elite:], anchors, useLadder)
+		raced, prunedN, err := ev.evaluate(next[elite:], anchors, useLadder)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +234,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 		// it: racing already escalated every plausible member, so this
 		// loop converges immediately unless a confidence bound was
 		// violated.
-		if err := ev.ensureTopExact(pop, opt.Pool); err != nil {
+		if err := ev.ensureTopExact(pop, ev.pool); err != nil {
 			return nil, err
 		}
 		res.PerGeneration = append(res.PerGeneration, pop[0].miss)
@@ -275,7 +253,9 @@ func Search(trace []bool, opt Options) (*Result, error) {
 // evaluator is the search's one fitness evaluator, bound to one packed
 // trace and the Result whose counters it keeps.
 type evaluator struct {
-	opt    Options
+	opt Options
+	// pool is the parent-pool size the ladder races for.
+	pool   int
 	res    *Result
 	words  []uint64
 	n      int
@@ -298,7 +278,7 @@ type evaluator struct {
 // search trajectory does not change, only its wall clock.
 func newEvaluator(trace []bool, opt Options, res *Result) *evaluator {
 	bits := bitseq.FromBools(trace)
-	e := &evaluator{opt: opt, res: res, words: bits.Words(), n: bits.Len()}
+	e := &evaluator{opt: opt, pool: poolSize(opt.Population), res: res, words: bits.Words(), n: bits.Len()}
 	// One run scan serves every cohort of the search: the trace never
 	// changes, so the span kernel's index is hoisted out of the loop.
 	e.runs = bitseq.Runs(e.words, e.n, bitseq.DefaultMinRunBytes)
@@ -318,7 +298,7 @@ func newEvaluator(trace []bool, opt Options, res *Result) *evaluator {
 // (cohort members with one minimal machine — crossover copies,
 // re-converged mutants, genomes differing only in unreachable or
 // equivalent states — share one evaluation), and — when useLadder —
-// the staged ladder, racing for the cohort's top-Pool slots against the
+// the staged ladder, racing for the cohort's top-pool slots against the
 // anchors (the carried elites' exact misses, which compete for the same
 // slots). With useLadder false every distinct minimal machine scores at
 // full fidelity in one fleet pass. Tables compile from the minimal
@@ -369,7 +349,7 @@ func (e *evaluator) evaluate(batch []*genome, anchors []float64, useLadder bool)
 		}
 		g.miss, g.exact = s.miss, true
 		// Memo-served cohort members, twins included, have exact scores:
-		// they compete for the same top-Pool slots, so their values
+		// they compete for the same top-pool slots, so their values
 		// anchor (tighten) the racing bar for free.
 		anchors = append(anchors, s.miss)
 	}
@@ -383,12 +363,12 @@ func (e *evaluator) evaluate(batch []*genome, anchors []float64, useLadder bool)
 		}
 	}
 	if useLadder && e.ladder != nil {
-		// keep = Pool exactly: the racing bar is the Pool-th smallest
-		// UCB, which (bounds holding) upper-bounds the Pool-th best true
+		// keep = pool exactly: the racing bar is the pool-th smallest
+		// UCB, which (bounds holding) upper-bounds the pool-th best true
 		// value, so nothing prunable can belong in the pool. The
 		// slack-inflated radii are the safety margin for the windows'
 		// non-iid reality.
-		vs := e.ladder.RaceTop(tabs, e.opt.Pool, anchors)
+		vs := e.ladder.RaceTop(tabs, e.pool, anchors)
 		for i, s := range slots {
 			v := vs[i]
 			if v.Exact {
@@ -482,25 +462,26 @@ func crossover(rng *rand.Rand, a, b *fsm.Machine) *fsm.Machine {
 	return child
 }
 
-// mutate flips outputs and rewires transitions with the given per-gene
-// probability.
-func mutate(rng *rand.Rand, m *fsm.Machine, rate float64) {
+// mutate flips outputs and rewires transitions with the per-gene
+// probability mutationRate.
+func mutate(rng *rand.Rand, m *fsm.Machine) {
 	n := m.NumStates()
 	for s := 0; s < n; s++ {
-		if rng.Float64() < rate {
+		if rng.Float64() < mutationRate {
 			m.Output[s] = !m.Output[s]
 		}
 		for b := 0; b < 2; b++ {
-			if rng.Float64() < rate {
+			if rng.Float64() < mutationRate {
 				m.Next[s][b] = rng.Intn(n)
 			}
 		}
 	}
 }
 
-func tournament(rng *rand.Rand, pop []*genome, k int) *genome {
+// tournament returns the fittest of tournamentK uniform draws from pop.
+func tournament(rng *rand.Rand, pop []*genome) *genome {
 	best := pop[rng.Intn(len(pop))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < tournamentK; i++ {
 		c := pop[rng.Intn(len(pop))]
 		if c.miss < best.miss {
 			best = c

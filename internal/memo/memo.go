@@ -26,7 +26,8 @@ type Stats struct {
 	// of a recompute. Before the tiered stats split, these were
 	// indistinguishable from Misses.
 	TierHits uint64
-	// Misses counts computations actually run.
+	// Misses counts computations actually run (Do) and lookups neither
+	// tier served (Get).
 	Misses uint64
 	// Entries is the current number of cached values.
 	Entries uint64
@@ -50,9 +51,10 @@ type Cache[K comparable, V any] struct {
 	misses   uint64
 	bytes    uint64
 
-	// Optional second tier, consulted inside the singleflight slot on a
-	// miss before compute runs, and filled after a compute. Both calls
-	// happen outside the cache lock — they are expected to do disk IO.
+	// Optional second tier, consulted on a miss (by Do inside the
+	// singleflight slot before compute runs, and by Get), and filled
+	// after a compute and by Put. Both calls happen outside the cache
+	// lock — they are expected to do disk IO.
 	tier2Load  func(K) (V, bool)
 	tier2Store func(K, V)
 }
@@ -92,27 +94,49 @@ func New[K comparable, V any](max int, maxBytes uint64, size func(V) uint64) *Ca
 	}
 }
 
-// Get returns the cached value for the key, refreshing its recency.
+// Get returns the cached value for the key, refreshing its recency. On
+// an in-process miss it consults the second tier, if one is attached:
+// a tier value is installed and counted in Stats.TierHits, and a
+// lookup neither tier serves counts in Stats.Misses.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
+	if el, ok := c.byKey[k]; ok {
+		c.order.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*entry[K, V]).val
+		c.mu.Unlock()
+		return v, true
+	}
+	load := c.tier2Load
+	c.mu.Unlock()
+	var v V
+	ok := false
+	if load != nil {
+		v, ok = load(k)
+	}
+	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
 	if !ok {
 		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry[K, V]).val, true
+	c.tierHits++
+	c.putLocked(k, v)
+	return v, true
 }
 
 // Put inserts a value, replacing any existing entry for the key and
-// evicting the least recently used entries beyond the bounds.
+// evicting the least recently used entries beyond the bounds, then
+// publishes it to the second tier, if one is attached.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.putLocked(k, v)
+	store := c.tier2Store
+	c.mu.Unlock()
+	if store != nil {
+		store(k, v)
+	}
 }
 
 func (c *Cache[K, V]) putLocked(k K, v V) {
@@ -146,12 +170,13 @@ func (c *Cache[K, V]) removeLocked(el *list.Element) {
 }
 
 // SetTier2 attaches (or, with nils, detaches) a second cache tier —
-// in practice a disk store. On a miss the owning Do call consults load
-// before computing; a validated tier-2 value is installed in the
-// in-process tier and counted in Stats.TierHits, distinguishable from
-// a recompute (Stats.Misses). After an actual compute, store publishes
-// the fresh value to the tier. Both functions run outside the cache
-// lock and must be safe for concurrent use.
+// in practice a disk store. On a miss the owning Do call, or Get,
+// consults load before computing or reporting a miss; a (validated)
+// tier-2 value is installed in the in-process tier and counted in
+// Stats.TierHits, distinguishable from a recompute or a miss
+// (Stats.Misses). After an actual compute, and on every Put, store
+// publishes the value to the tier. Both functions run outside the
+// cache lock and must be safe for concurrent use.
 func (c *Cache[K, V]) SetTier2(load func(K) (V, bool), store func(K, V)) {
 	c.mu.Lock()
 	c.tier2Load, c.tier2Store = load, store

@@ -276,3 +276,46 @@ func TestClearDropsEntriesKeepsStats(t *testing.T) {
 		t.Fatal("cleared entry still served")
 	}
 }
+
+// TestTier2GetPut pins the tier-aware Get and Put: an in-process miss
+// that the second tier serves installs the value and counts a
+// TierHit, one neither tier serves counts a Miss, and Put publishes
+// to the tier exactly once.
+func TestTier2GetPut(t *testing.T) {
+	disk := map[int]int{7: 70}
+	var loads, stores int
+	c := New[int, int](4, 0, nil)
+	c.SetTier2(
+		func(k int) (int, bool) { loads++; v, ok := disk[k]; return v, ok },
+		func(k, v int) { stores++; disk[k] = v },
+	)
+
+	if v, ok := c.Get(7); !ok || v != 70 {
+		t.Fatalf("Get(7) = %d, %v; want 70 from tier 2", v, ok)
+	}
+	if _, ok := c.Get(8); ok {
+		t.Fatal("Get(8) hit; neither tier holds it")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.TierHits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want tierHits=1 misses=1 entries=1", st)
+	}
+	// The tier-2 value is now resident: no second load.
+	if v, ok := c.Get(7); !ok || v != 70 || loads != 2 {
+		t.Fatalf("Get(7) = %d, %v after %d loads; want a tier-1 hit", v, ok, loads)
+	}
+	if stores != 0 {
+		t.Fatalf("Get published %d values to tier 2", stores)
+	}
+
+	c.Put(8, 80)
+	if stores != 1 || disk[8] != 80 {
+		t.Fatalf("Put: %d stores, tier 2 = %v; want 8 published once", stores, disk)
+	}
+	c.Clear()
+	if v, ok := c.Get(8); !ok || v != 80 {
+		t.Fatalf("Get(8) after Clear = %d, %v; want 80 from tier 2", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.TierHits != 2 || st.Misses != 1 || stores != 1 {
+		t.Fatalf("stats = %+v after %d stores, want hits=1 tierHits=2 misses=1 and no republish", st, stores)
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fsmpredict/internal/fidelity"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -203,7 +205,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHTTPSearchModes(t *testing.T) {
 	_, srv := newTestServer(t)
 
-	trace := strings.Repeat("1101", 1024)
+	// Long enough for the adaptive ladder to stage (16 windows of 512).
+	trace := strings.Repeat("1101", 1<<13)
 	search := func(mode string) SearchResponse {
 		t.Helper()
 		resp := postJSON(t, srv.URL+"/v1/search", SearchRequest{
@@ -218,6 +221,9 @@ func TestHTTPSearchModes(t *testing.T) {
 		return decodeBody[SearchResponse](t, resp)
 	}
 	exact := search("exact")
+	// A cold fitness memo makes the adaptive search race every cohort
+	// instead of reading the exact search's scores back.
+	fidelity.ResetMemo()
 	adaptive := search("adaptive")
 	if exact.MissRate != adaptive.MissRate {
 		t.Errorf("adaptive miss rate %v != exact %v", adaptive.MissRate, exact.MissRate)
@@ -253,13 +259,28 @@ func TestHTTPSearchModes(t *testing.T) {
 	for _, want := range []string{
 		"fsmpredict_search_requests_total 2",
 		"fsmpredict_search_fitness_hits_total",
-		"fsmpredict_search_rung_evals_total",
-		"fsmpredict_search_pruned_total",
-		"fsmpredict_search_escalated_total",
 		"fsmpredict_search_memo_bytes_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q", want)
+		}
+	}
+	// On a fresh service the ladder counters hold exactly the adaptive
+	// search's tallies: the exact search adds nothing.
+	if !adaptive.Racing.LadderUsed || adaptive.Racing.RungEvals == 0 {
+		t.Fatalf("adaptive search did not race: %+v", adaptive.Racing)
+	}
+	if exact.Racing.RungEvals != 0 || exact.Racing.Pruned != 0 || exact.Racing.Escalated != 0 {
+		t.Errorf("exact search reported ladder work: %+v", exact.Racing)
+	}
+	for name, want := range map[string]int{
+		"fsmpredict_search_rung_evals_total": adaptive.Racing.RungEvals,
+		"fsmpredict_search_pruned_total":     adaptive.Racing.Pruned,
+		"fsmpredict_search_escalated_total":  adaptive.Racing.Escalated,
+	} {
+		line := fmt.Sprintf("\n%s %d\n", name, want)
+		if !strings.Contains("\n"+body, line) {
+			t.Errorf("metrics exposition lacks %q (racing %+v)", strings.TrimSpace(line), adaptive.Racing)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import "fmt"
 // packed trace words with no per-event PCs — which is the form every
 // candidate-scoring loop holds (the GA search packs its trace once and
 // never looks at addresses again). Where Analyze summarizes an interval
-// by per-branch execution frequencies, AnalyzeOutcomes summarizes it by
+// by per-branch execution frequencies, OutcomeVectors summarizes it by
 // the statistics a predictor FSM actually experiences: the taken rate,
 // the toggle rate, and the distribution of 3-bit local outcome
 // patterns. Two windows with the same pattern histogram drive a small
@@ -15,38 +15,19 @@ import "fmt"
 // same way basic-block-vector representatives do for instruction
 // streams.
 
-// defaultOutcomeIntervalLen is AnalyzeOutcomes' default window length.
-// A power of two (and so a multiple of 64) keeps windows word-aligned
-// in the packed stream, which lets callers extract a representative
-// window as a zero-copy word subslice.
-const defaultOutcomeIntervalLen = 8192
-
-// AnalyzeOutcomes cuts the first n events of a packed outcome stream
-// (bitseq layout: event i is words[i>>6]>>(i&63)&1) into fixed-length
-// windows, summarizes each by outcome statistics, and clusters the
-// windows with the same k-means machinery as Analyze. Trailing events
-// that do not fill a window are dropped, as in SimPoint. The returned
-// Representatives are window indices; window w covers events
-// [w*IntervalLen, (w+1)*IntervalLen).
-func AnalyzeOutcomes(words []uint64, n int, opt Options) (*Result, error) {
-	if opt.IntervalLen <= 0 {
-		opt.IntervalLen = defaultOutcomeIntervalLen
-	}
-	vectors, err := OutcomeVectors(words, n, opt.IntervalLen)
-	if err != nil {
-		return nil, err
-	}
-	return ClusterOutcomeVectors(vectors, opt)
-}
-
-// OutcomeVectors summarizes each full intervalLen-event window of the
-// packed stream by its outcome-statistics vector — the expensive
-// whole-trace pass of AnalyzeOutcomes, split out so callers clustering
-// the same stream at several granularities (the fidelity ladder's
-// escalating window tiers) pay it once.
+// OutcomeVectors cuts the first n events of a packed outcome stream
+// (bitseq layout: event i is words[i>>6]>>(i&63)&1) into full
+// intervalLen-event windows and summarizes each by its
+// outcome-statistics vector. Trailing events that do not fill a window
+// are dropped, as in SimPoint. It is the expensive whole-trace pass,
+// kept apart from ClusterOutcomeVectors so callers clustering the same
+// stream at several granularities (the fidelity ladder's escalating
+// window tiers) pay it once. A power-of-two intervalLen (a multiple of
+// 64) keeps windows word-aligned, so callers can extract a
+// representative window as a zero-copy word subslice.
 func OutcomeVectors(words []uint64, n, intervalLen int) ([][]float64, error) {
-	if intervalLen <= 0 {
-		intervalLen = defaultOutcomeIntervalLen
+	if intervalLen < 1 {
+		return nil, fmt.Errorf("simpoint: window length %d must be positive", intervalLen)
 	}
 	if max := len(words) << 6; n > max {
 		n = max
@@ -63,46 +44,18 @@ func OutcomeVectors(words []uint64, n, intervalLen int) ([][]float64, error) {
 	return vectors, nil
 }
 
-// ClusterOutcomeVectors clusters precomputed window vectors (one per
-// consecutive opt.IntervalLen-event window) into representatives —
-// AnalyzeOutcomes' second half.
+// ClusterOutcomeVectors clusters precomputed window vectors, one per
+// consecutive opt.IntervalLen-event window, with the same k-means
+// machinery as Analyze. The returned Representatives are window
+// indices; window w covers events [w*IntervalLen, (w+1)*IntervalLen).
 func ClusterOutcomeVectors(vectors [][]float64, opt Options) (*Result, error) {
-	if opt.IntervalLen <= 0 {
-		opt.IntervalLen = defaultOutcomeIntervalLen
+	if opt.IntervalLen < 1 {
+		return nil, fmt.Errorf("simpoint: window length %d must be positive", opt.IntervalLen)
 	}
-	opt = opt.withDefaults()
-	nw := len(vectors)
-	if nw < 1 {
+	if len(vectors) < 1 {
 		return nil, fmt.Errorf("simpoint: no outcome windows to cluster")
 	}
-	if opt.K > nw {
-		opt.K = nw
-	}
-	assignments, centroids := kmeans(vectors, opt.K, opt.MaxIter, opt.Seed)
-
-	res := &Result{IntervalLen: opt.IntervalLen, Assignments: assignments}
-	counts := make([]int, len(centroids))
-	bestDist := make([]float64, len(centroids))
-	best := make([]int, len(centroids))
-	for i := range best {
-		best[i] = -1
-	}
-	for i, c := range assignments {
-		counts[c]++
-		dist := sqDist(vectors[i], centroids[c])
-		if best[c] < 0 || dist < bestDist[c] {
-			best[c], bestDist[c] = i, dist
-		}
-	}
-	for c := range centroids {
-		if best[c] < 0 {
-			continue // empty cluster
-		}
-		res.Representatives = append(res.Representatives, best[c])
-		res.Weights = append(res.Weights, float64(counts[c])/float64(nw))
-	}
-	sortByRepresentative(res)
-	return res, nil
+	return cluster(vectors, opt.withDefaults()), nil
 }
 
 // outcomeVector summarizes window events [off, off+length): taken rate,
@@ -127,15 +80,4 @@ func outcomeVector(words []uint64, off, length int) []float64 {
 		v[j] /= float64(length)
 	}
 	return v
-}
-
-// sortByRepresentative puts representatives (and their weights) in
-// trace order, the deterministic convention Analyze established.
-func sortByRepresentative(res *Result) {
-	for i := 1; i < len(res.Representatives); i++ {
-		for j := i; j > 0 && res.Representatives[j] < res.Representatives[j-1]; j-- {
-			res.Representatives[j], res.Representatives[j-1] = res.Representatives[j-1], res.Representatives[j]
-			res.Weights[j], res.Weights[j-1] = res.Weights[j-1], res.Weights[j]
-		}
-	}
 }

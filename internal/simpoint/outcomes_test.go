@@ -41,7 +41,8 @@ func takenRate(out []bool, lo, hi int) float64 {
 	return float64(ones) / float64(hi-lo)
 }
 
-// TestAnalyzeOutcomesWeightedEstimate is the representative-window
+// TestAnalyzeOutcomesWeightedEstimate is the outcome-stream analysis'
+// (OutcomeVectors, then ClusterOutcomeVectors) representative-window
 // weighting contract on a drifting, phase-shifted trace: the
 // cluster-weighted taken-rate over the chosen windows must track the
 // global taken rate far better than a same-coverage prefix does — the
@@ -49,7 +50,11 @@ func takenRate(out []bool, lo, hi int) float64 {
 func TestAnalyzeOutcomesWeightedEstimate(t *testing.T) {
 	const winLen = 2048
 	words, n, out := phasedStream(t, 10, 1<<13)
-	res, err := AnalyzeOutcomes(words, n, Options{IntervalLen: winLen, K: 4, Seed: 5})
+	vectors, err := OutcomeVectors(words, n, winLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ClusterOutcomeVectors(vectors, Options{IntervalLen: winLen, K: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,11 @@ func TestAnalyzeOutcomesWeightedEstimate(t *testing.T) {
 func TestAnalyzeOutcomesPhaseSeparation(t *testing.T) {
 	const segLen = 1 << 13
 	words, n, _ := phasedStream(t, 6, segLen)
-	res, err := AnalyzeOutcomes(words, n, Options{IntervalLen: segLen, K: 2, Seed: 1})
+	vectors, err := OutcomeVectors(words, n, segLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ClusterOutcomeVectors(vectors, Options{IntervalLen: segLen, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +121,18 @@ func TestAnalyzeOutcomesPhaseSeparation(t *testing.T) {
 
 func TestAnalyzeOutcomesValidation(t *testing.T) {
 	words := []uint64{0xfff}
-	if _, err := AnalyzeOutcomes(words, 64, Options{IntervalLen: 128}); err == nil {
+	if _, err := OutcomeVectors(words, 64, 128); err == nil {
 		t.Fatal("no error for a stream shorter than one window")
 	}
+	if _, err := OutcomeVectors(words, 64, 0); err == nil {
+		t.Fatal("no error for a zero window length")
+	}
 	// K larger than the window count must clamp, not fail.
-	res, err := AnalyzeOutcomes(words, 64, Options{IntervalLen: 64, K: 9})
+	vectors, err := OutcomeVectors(words, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ClusterOutcomeVectors(vectors, Options{IntervalLen: 64, K: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"fsmpredict/internal/trace"
 )
@@ -30,8 +29,6 @@ type Options struct {
 	IntervalLen int
 	// K is the number of clusters / representatives (default 4).
 	K int
-	// MaxIter bounds the k-means iterations (default 50).
-	MaxIter int
 	// Seed makes the k-means++ initialization reproducible.
 	Seed int64
 }
@@ -42,9 +39,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.K <= 0 {
 		o.K = 4
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50
 	}
 	return o
 }
@@ -75,10 +69,6 @@ func Analyze(events []trace.BranchEvent, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("simpoint: trace of %d events has no full %d-event interval",
 			len(events), opt.IntervalLen)
 	}
-	if opt.K > n {
-		opt.K = n
-	}
-
 	// Feature space: execution frequency and taken frequency per static
 	// branch, giving behaviour (not just code coverage) a say.
 	dims := map[uint64]int{}
@@ -104,12 +94,17 @@ func Analyze(events []trace.BranchEvent, opt Options) (*Result, error) {
 		vectors[i] = v
 	}
 
-	assignments, centroids := kmeans(vectors, opt.K, opt.MaxIter, opt.Seed)
+	return cluster(vectors, opt), nil
+}
 
-	res := &Result{
-		IntervalLen: opt.IntervalLen,
-		Assignments: assignments,
-	}
+// cluster groups the interval vectors with k-means (K clamped to the
+// interval count) and picks, per non-empty cluster, the interval
+// closest to its centroid, weighted by the cluster's share of
+// intervals; representatives come back in trace order.
+func cluster(vectors [][]float64, opt Options) *Result {
+	n := len(vectors)
+	assignments, centroids := kmeans(vectors, min(opt.K, n), opt.Seed)
+	res := &Result{IntervalLen: opt.IntervalLen, Assignments: assignments}
 	counts := make([]int, len(centroids))
 	bestDist := make([]float64, len(centroids))
 	best := make([]int, len(centroids))
@@ -130,21 +125,15 @@ func Analyze(events []trace.BranchEvent, opt Options) (*Result, error) {
 		res.Representatives = append(res.Representatives, best[c])
 		res.Weights = append(res.Weights, float64(counts[c])/float64(n))
 	}
-	// Deterministic order: by representative interval index.
-	order := make([]int, len(res.Representatives))
-	for i := range order {
-		order[i] = i
+	// Deterministic order: by representative interval index (each
+	// interval represents at most one cluster).
+	for i := 1; i < len(res.Representatives); i++ {
+		for j := i; j > 0 && res.Representatives[j] < res.Representatives[j-1]; j-- {
+			res.Representatives[j], res.Representatives[j-1] = res.Representatives[j-1], res.Representatives[j]
+			res.Weights[j], res.Weights[j-1] = res.Weights[j-1], res.Weights[j]
+		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return res.Representatives[order[a]] < res.Representatives[order[b]]
-	})
-	reps := make([]int, len(order))
-	ws := make([]float64, len(order))
-	for i, o := range order {
-		reps[i], ws[i] = res.Representatives[o], res.Weights[o]
-	}
-	res.Representatives, res.Weights = reps, ws
-	return res, nil
+	return res
 }
 
 // Interval returns the events of interval i.
@@ -162,9 +151,12 @@ func (r *Result) Sample(events []trace.BranchEvent) []trace.BranchEvent {
 	return out
 }
 
+// maxIter bounds the k-means iterations.
+const maxIter = 50
+
 // kmeans clusters vectors with k-means++ initialization and Lloyd
 // iterations, all deterministic under the seed.
-func kmeans(vectors [][]float64, k, maxIter int, seed int64) (assign []int, centroids [][]float64) {
+func kmeans(vectors [][]float64, k int, seed int64) (assign []int, centroids [][]float64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := len(vectors)
 
