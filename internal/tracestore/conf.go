@@ -56,26 +56,81 @@ func (c *ConfStreams) Bytes() uint64 { return uint64(4 * c.Loads() / 8) }
 // matches the confidence harness exactly: a new segment opens when an
 // entry is first touched or reallocated to a different load PC.
 func BuildConfStreams(loads []trace.LoadEvent, tableLog2 int) *ConfStreams {
+	b := newConfBuilder(len(loads), tableLog2)
+	for _, ld := range loads {
+		b.add(ld.PC, ld.Value)
+	}
+	return b.finish()
+}
+
+// buildConf simulates the confidence streams of a value program straight
+// from its emission loop, with BuildConfStreams' builder: no load trace
+// is materialized.
+func buildConf(prog *workload.LoadProgram, v workload.Variant, n, tableLog2 int) *ConfStreams {
+	// A pass overshoots n by less than one body (at most 8 loads in the
+	// suite); a longer one only regrows the global streams.
+	b := newConfBuilder(n+64, tableLog2)
+	prog.Emit(v, n, b.add)
+	return b.finish()
+}
+
+// confBuilder feeds loads through the stride predictor and writes the
+// global and per-segment valid/correct streams a word at a time.
+type confBuilder struct {
+	sp             *vpred.StridePredictor
+	open           []int32  // segment of each table entry, -1 before first touch
+	owners         []uint64 // load PC each entry's open segment belongs to
+	valid, correct bitWriter
+	segs           []segWriter
+}
+
+// segWriter holds one segment's streams while they are written.
+type segWriter struct{ valid, correct bitWriter }
+
+// newConfBuilder starts streams with room for about n loads.
+func newConfBuilder(n, tableLog2 int) *confBuilder {
 	sp := vpred.New(tableLog2)
-	open := make([]int, sp.Size())
+	open := make([]int32, sp.Size())
 	for i := range open {
 		open[i] = -1
 	}
-	owners := make([]uint64, sp.Size())
-	cs := &ConfStreams{Valid: &bitseq.Bits{}, Correct: &bitseq.Bits{}}
-	for _, ld := range loads {
-		acc := sp.Access(ld.PC, ld.Value)
-		if open[acc.Entry] < 0 || owners[acc.Entry] != ld.PC {
-			cs.Segments = append(cs.Segments, ConfSegment{Valid: &bitseq.Bits{}, Correct: &bitseq.Bits{}})
-			open[acc.Entry] = len(cs.Segments) - 1
-			owners[acc.Entry] = ld.PC
-		}
-		seg := &cs.Segments[open[acc.Entry]]
-		correct := acc.Valid && acc.Correct
-		seg.Valid.Append(acc.Valid)
-		seg.Correct.Append(correct)
-		cs.Valid.Append(acc.Valid)
-		cs.Correct.Append(correct)
+	return &confBuilder{
+		sp:      sp,
+		open:    open,
+		owners:  make([]uint64, sp.Size()),
+		valid:   newBitWriter(n),
+		correct: newBitWriter(n),
+	}
+}
+
+// add runs one load through the predictor and records its bits.
+func (b *confBuilder) add(pc, value uint64) {
+	acc := b.sp.Access(pc, value)
+	s := b.open[acc.Entry]
+	if s < 0 || b.owners[acc.Entry] != pc {
+		s = int32(len(b.segs))
+		b.segs = append(b.segs, segWriter{})
+		b.open[acc.Entry] = s
+		b.owners[acc.Entry] = pc
+	}
+	correct := acc.Valid && acc.Correct
+	seg := &b.segs[s]
+	seg.valid.put(acc.Valid)
+	seg.correct.put(correct)
+	b.valid.put(acc.Valid)
+	b.correct.put(correct)
+}
+
+// finish seals every stream and indexes the segments' spans.
+func (b *confBuilder) finish() *ConfStreams {
+	cs := &ConfStreams{
+		Valid:    b.valid.bits(),
+		Correct:  b.correct.bits(),
+		Segments: make([]ConfSegment, len(b.segs)),
+	}
+	for i := range b.segs {
+		seg := &b.segs[i]
+		cs.Segments[i] = ConfSegment{Valid: seg.valid.bits(), Correct: seg.correct.bits()}
 	}
 	cs.indexSpans()
 	return cs
@@ -107,6 +162,6 @@ type confKey struct {
 func (s *Store) ConfStreams(p *workload.LoadProgram, v workload.Variant, n, tableLog2 int) *ConfStreams {
 	key := confKey{Key: LoadKey(p.Name, v, n), TableLog2: tableLog2}
 	return s.c.Do(key, nil, func() sized {
-		return BuildConfStreams(p.Generate(v, n), tableLog2)
+		return buildConf(p, v, n, tableLog2)
 	}).(*ConfStreams)
 }

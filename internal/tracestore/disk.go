@@ -110,9 +110,9 @@ func encodePacked(p *Packed) []byte {
 }
 
 // decodePacked parses a payload back into a packed trace, rebuilding
-// the substream views and the PC index exactly as Pack would. Any
-// structural inconsistency — ID out of range, duplicate PC, unused ID,
-// word count mismatch — reads as a miss.
+// the substream views (with Pack's own fillSubs) and the PC index
+// exactly as Pack would. Any structural inconsistency — ID out of
+// range, duplicate PC, unused ID, word count mismatch — reads as a miss.
 func decodePacked(payload []byte) (*Packed, bool) {
 	r := disktier.NewReader(payload)
 	n := int(r.U32())
@@ -143,18 +143,9 @@ func decodePacked(payload []byte) (*Packed, bool) {
 		ids:      ids,
 		pcs:      pcs,
 		outcomes: bitseq.FromWords(words, n),
-		subs:     make([]Sub, len(pcs)),
 		byPC:     byPC,
 	}
-	for i := range p.subs {
-		p.subs[i].Outcomes = &bitseq.Bits{}
-		p.subs[i].Pos = make([]int32, 0, counts[i])
-	}
-	for i, id := range p.ids {
-		s := &p.subs[id]
-		s.Outcomes.Append(p.outcomes.At(i))
-		s.Pos = append(s.Pos, int32(i))
-	}
+	p.fillSubs(counts)
 	return p, true
 }
 

@@ -18,6 +18,13 @@
 //     the one in-flight generation instead of duplicating it. Past a
 //     byte bound the least recently used traces are evicted.
 //
+// The store builds both kinds of trace straight from the workload's
+// emission loop (workload.Program.Emit, LoadProgram.Emit): branch
+// outcomes go into the packed form as they are emitted, and loads drive
+// the stride predictor behind the confidence streams, with no event
+// slice in between. Pack and BuildConfStreams run the same builders over
+// an already materialized event slice.
+//
 // Packed traces and confidence streams are immutable after
 // construction; readers share them freely without copying. Artifacts
 // computed from a trace (Packed.Derive, ConfStreams.Derive) are memoized
@@ -32,6 +39,7 @@ import (
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/markov"
 	"fsmpredict/internal/trace"
+	"fsmpredict/internal/workload"
 )
 
 // Sub is one static branch's view of the trace: its own outcomes in
@@ -47,7 +55,7 @@ type Sub struct {
 }
 
 // Packed is an immutable struct-of-arrays branch trace. Construct with
-// Pack; all accessors are safe for concurrent use.
+// Pack or Store.Branches; all accessors are safe for concurrent use.
 type Packed struct {
 	ids      []int32      // per-event static-branch ID
 	pcs      []uint64     // PC by ID, in first-appearance order
@@ -65,31 +73,146 @@ type Packed struct {
 // assigned dense IDs in order of first appearance, so packing is
 // deterministic: identical event slices produce identical Packed traces.
 func Pack(events []trace.BranchEvent) *Packed {
-	p := &Packed{
-		ids:      make([]int32, len(events)),
-		outcomes: &bitseq.Bits{},
-		byPC:     make(map[uint64]int32),
+	b := newPacker(len(events))
+	for _, e := range events {
+		b.add(b.intern(e.PC), e.Taken)
 	}
-	for i, e := range events {
-		id, ok := p.byPC[e.PC]
-		if !ok {
-			id = int32(len(p.pcs))
-			p.byPC[e.PC] = id
-			p.pcs = append(p.pcs, e.PC)
+	return b.finish()
+}
+
+// packBranches builds the packed trace of a branch program straight from
+// its emission loop — the same packer as Pack, with each body site's ID
+// interned once, at its first outcome, instead of looked up per event.
+func packBranches(prog *workload.Program, v workload.Variant, n int) *Packed {
+	// A pass overshoots n by less than one body; the suite's bodies have
+	// at most 16 sites, and a longer one only regrows the ID stream.
+	b := newPacker(n + 64)
+	var siteIDs []int32 // dense ID by body site, -1 before its first outcome
+	prog.Emit(v, n, func(site int, pc uint64, taken bool) {
+		for site >= len(siteIDs) {
+			siteIDs = append(siteIDs, -1)
 		}
-		p.ids[i] = id
-		p.outcomes.Append(e.Taken)
+		id := siteIDs[site]
+		if id < 0 {
+			id = b.intern(pc)
+			siteIDs[site] = id
+		}
+		b.add(id, taken)
+	})
+	return b.finish()
+}
+
+// packer accumulates a packed trace one event at a time: IDs in
+// first-appearance order, outcomes a word at a time, and each ID's event
+// count, from which finish sizes the substreams exactly.
+type packer struct {
+	p      *Packed
+	out    bitWriter
+	counts []int // events per ID
+}
+
+// newPacker starts a trace with room for about n events.
+func newPacker(n int) *packer {
+	return &packer{
+		p:   &Packed{ids: make([]int32, 0, n), byPC: make(map[uint64]int32)},
+		out: newBitWriter(n),
 	}
-	p.subs = make([]Sub, len(p.pcs))
-	for id := range p.subs {
-		p.subs[id].Outcomes = &bitseq.Bits{}
+}
+
+// intern returns pc's dense ID, assigning the next one on first sight.
+func (b *packer) intern(pc uint64) int32 {
+	id, ok := b.p.byPC[pc]
+	if !ok {
+		id = int32(len(b.p.pcs))
+		b.p.byPC[pc] = id
+		b.p.pcs = append(b.p.pcs, pc)
+		b.counts = append(b.counts, 0)
 	}
+	return id
+}
+
+// add appends one event of an interned branch.
+func (b *packer) add(id int32, taken bool) {
+	b.p.ids = append(b.p.ids, id)
+	b.out.put(taken)
+	b.counts[id]++
+}
+
+// finish seals the outcome stream and builds the substream views.
+func (b *packer) finish() *Packed {
+	b.p.outcomes = b.out.bits()
+	b.p.fillSubs(b.counts)
+	return b.p
+}
+
+// fillSubs builds every ID's substream view from the ID and outcome
+// streams, given each ID's event count (every count positive): one
+// scatter pass into position and outcome arrays allocated once and cut
+// per ID.
+func (p *Packed) fillSubs(counts []int) {
+	nwords := 0
+	for _, c := range counts {
+		nwords += (c + 63) / 64
+	}
+	pos := make([]int32, len(p.ids))
+	words := make([]uint64, nwords)
+	type cursor struct {
+		pos   []int32
+		words []uint64
+		k     int
+	}
+	cur := make([]cursor, len(counts))
+	for id, c := range counts {
+		w := (c + 63) / 64
+		cur[id] = cursor{pos: pos[:c:c], words: words[:w:w]}
+		pos, words = pos[c:], words[w:]
+	}
+	out := p.outcomes.Words()
 	for i, id := range p.ids {
-		s := &p.subs[id]
-		s.Outcomes.Append(events[i].Taken)
-		s.Pos = append(s.Pos, int32(i))
+		c := &cur[id]
+		c.pos[c.k] = int32(i)
+		c.words[c.k>>6] |= (out[i>>6] >> (uint(i) & 63) & 1) << (uint(c.k) & 63)
+		c.k++
 	}
-	return p
+	p.subs = make([]Sub, len(counts))
+	for id, c := range cur {
+		p.subs[id] = Sub{Outcomes: bitseq.FromWords(c.words, c.k), Pos: c.pos}
+	}
+}
+
+// bitWriter appends bits to a packed stream, holding the partial word
+// in a register and storing each word once it fills.
+type bitWriter struct {
+	words []uint64
+	cur   uint64
+	n     int
+}
+
+// newBitWriter returns a writer with room for about n bits.
+func newBitWriter(n int) bitWriter {
+	return bitWriter{words: make([]uint64, 0, (n+63)/64)}
+}
+
+// put appends one bit.
+func (w *bitWriter) put(v bool) {
+	var bit uint64
+	if v {
+		bit = 1
+	}
+	w.cur |= bit << (uint(w.n) & 63)
+	w.n++
+	if w.n&63 == 0 {
+		w.words = append(w.words, w.cur)
+		w.cur = 0
+	}
+}
+
+// bits seals the stream; the writer must not be used afterwards.
+func (w *bitWriter) bits() *bitseq.Bits {
+	if w.n&63 != 0 {
+		w.words = append(w.words, w.cur)
+	}
+	return bitseq.FromWords(w.words, w.n)
 }
 
 // Len is the number of events.
@@ -100,9 +223,6 @@ func (p *Packed) NumStatics() int { return len(p.pcs) }
 
 // IDAt returns the dense static-branch ID of event i.
 func (p *Packed) IDAt(i int) int32 { return p.ids[i] }
-
-// PCAt returns the PC of event i.
-func (p *Packed) PCAt(i int) uint64 { return p.pcs[p.ids[i]] }
 
 // Taken returns the direction of event i.
 func (p *Packed) Taken(i int) bool { return p.outcomes.At(i) }

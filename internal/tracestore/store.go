@@ -91,5 +91,5 @@ func (s *Store) Clear() { s.c.Clear() }
 // for the same key share one generation.
 func (s *Store) Branches(p *workload.Program, v workload.Variant, n int) *Packed {
 	key := confKey{Key: BranchKey(p.Name, v, n)}
-	return s.c.Do(key, nil, func() sized { return Pack(p.Generate(v, n)) }).(*Packed)
+	return s.c.Do(key, nil, func() sized { return packBranches(p, v, n) }).(*Packed)
 }

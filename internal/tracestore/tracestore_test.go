@@ -2,6 +2,8 @@ package tracestore
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"fsmpredict/internal/disktier"
 	"fsmpredict/internal/markov"
 	"fsmpredict/internal/trace"
+	"fsmpredict/internal/vpred"
 	"fsmpredict/internal/workload"
 )
 
@@ -38,11 +41,8 @@ func TestPackRoundTrip(t *testing.T) {
 		if back[i] != e {
 			t.Fatalf("event %d: got %+v, want %+v", i, back[i], e)
 		}
-		if p.PCAt(i) != e.PC || p.Taken(i) != e.Taken {
+		if p.PCOf(p.IDAt(i)) != e.PC || p.Taken(i) != e.Taken {
 			t.Fatalf("accessor mismatch at %d", i)
-		}
-		if p.PCOf(p.IDAt(i)) != e.PC {
-			t.Fatalf("ID interning broken at %d", i)
 		}
 	}
 }
@@ -151,23 +151,90 @@ func assertModelsEqual(t *testing.T, got, want *markov.Model) {
 	})
 }
 
+// TestStoreBranchesMatchesGenerate is the oracle of the store's build
+// path: for every program and variant, at lengths around word and pass
+// boundaries, the trace packed straight from the emission loop equals
+// Pack over the materialized events — IDs, PC table and index, the
+// outcome stream and every substream.
 func TestStoreBranchesMatchesGenerate(t *testing.T) {
-	s := NewStore()
+	for _, prog := range workload.BranchSuite() {
+		for _, v := range []workload.Variant{workload.Train, workload.Test} {
+			for _, n := range []int{1, 63, 64, 65, 4097, 250_000} {
+				got := NewStore().Branches(prog, v, n)
+				if want := Pack(prog.Generate(v, n)); !packedEqual(got, want) {
+					t.Fatalf("%s/%s n=%d: stored trace differs from Pack(Generate)", prog.Name, v, n)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreConfStreamsMatchesBuild is the same oracle for confidence
+// streams: simulated straight from the emission loop, they equal
+// BuildConfStreams over the materialized loads, segment spans included.
+// Because both share one builder, the segmentation is also checked
+// against its definition: a segment is one estimator lifetime, so its
+// first load allocates the entry (no prediction) and every later load
+// hits it. The small tables make entries change owner constantly.
+func TestStoreConfStreamsMatchesBuild(t *testing.T) {
+	for _, prog := range workload.LoadSuite() {
+		for _, v := range []workload.Variant{workload.Train, workload.Test} {
+			for _, log2 := range []int{2, 4, vpred.TableLog2Default} {
+				for _, n := range []int{1, 65, 4097} {
+					got := NewStore().ConfStreams(prog, v, n, log2)
+					want := BuildConfStreams(prog.Generate(v, n), log2)
+					if !confEqual(got, want) {
+						t.Fatalf("%s/%s log2=%d n=%d: stored streams differ from BuildConfStreams", prog.Name, v, log2, n)
+					}
+					for i, seg := range got.Segments {
+						if !reflect.DeepEqual(seg.Spans, want.Segments[i].Spans) {
+							t.Fatalf("%s/%s log2=%d n=%d: segment %d spans differ", prog.Name, v, log2, n, i)
+						}
+						if seg.Valid.At(0) || seg.Valid.Ones() != seg.Valid.Len()-1 {
+							t.Fatalf("%s/%s log2=%d n=%d: segment %d valid bits %s, want one allocation then hits", prog.Name, v, log2, n, i, seg.Valid)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStoreBuildAllocationBound bounds what building a trace allocates
+// beyond the trace itself: a packed branch trace at most a quarter of
+// its retained size, confidence streams at most 2 bytes per load. The
+// race detector's own allocations would count, so it is skipped there.
+func TestStoreBuildAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
 	prog, err := workload.ByName("gsm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Branches(prog, workload.Train, 4000)
-	want := prog.Generate(workload.Train, 4000)
-	got := p.Events()
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
+	lp, err := workload.LoadByName("gcc")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d differs", i)
-		}
+	const n = 1_000_000
+	s := NewStore()
+	var p *Packed
+	if alloc := allocated(func() { p = s.Branches(prog, workload.Train, n) }); alloc > p.Bytes()*5/4 {
+		t.Errorf("branch trace: %d bytes allocated for %d retained, bound 1.25x", alloc, p.Bytes())
 	}
+	var cs *ConfStreams
+	if alloc := allocated(func() { cs = s.ConfStreams(lp, workload.Train, n, vpred.TableLog2Default) }); alloc > uint64(2*cs.Loads()) {
+		t.Errorf("confidence streams: %d bytes allocated for %d loads, bound 2 B/load", alloc, cs.Loads())
+	}
+}
+
+// allocated reports the bytes the heap allocated while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestStoreDedupAndStats(t *testing.T) {

@@ -111,24 +111,41 @@ type Program struct {
 	Build func(v Variant, rng *rand.Rand) []Site
 }
 
-// Generate produces at least n branch events (it completes the final body
-// pass, so slightly more may be returned).
-func (p *Program) Generate(v Variant, n int) []trace.BranchEvent {
+// Emit executes the body of variant v pass after pass until at least n
+// branch outcomes have been produced (it completes the final body pass,
+// so slightly more may be), calling emit once per outcome in execution
+// order with the emitting site's index in the body, its PC and the
+// direction. It is the one emission loop of a branch program: Generate
+// and the trace store's packed form are both built on it.
+func (p *Program) Emit(v Variant, n int, emit func(site int, pc uint64, taken bool)) {
 	seed := v.seed(p.Seed)
 	setup := rand.New(rand.NewSource(seed ^ 0x5eed))
 	body := p.Build(v, setup)
+	pcs := make([]uint64, len(body))
+	for i, s := range body {
+		pcs[i] = s.PC()
+	}
 	env := &Env{Rng: rand.New(rand.NewSource(seed))}
-	events := make([]trace.BranchEvent, 0, n+16)
 	var scratch []bool
-	for len(events) < n {
-		for _, s := range body {
+	for emitted := 0; emitted < n; {
+		for i, s := range body {
 			scratch = s.Emit(env, scratch[:0])
 			for _, taken := range scratch {
-				events = append(events, trace.BranchEvent{PC: s.PC(), Taken: taken})
+				emit(i, pcs[i], taken)
 				env.record(taken)
 			}
+			emitted += len(scratch)
 		}
 	}
+}
+
+// Generate produces at least n branch events (it completes the final body
+// pass, so slightly more may be returned): Emit's outcomes as records.
+func (p *Program) Generate(v Variant, n int) []trace.BranchEvent {
+	events := make([]trace.BranchEvent, 0, n+16)
+	p.Emit(v, n, func(_ int, pc uint64, taken bool) {
+		events = append(events, trace.BranchEvent{PC: pc, Taken: taken})
+	})
 	return events
 }
 
@@ -155,18 +172,34 @@ type LoadProgram struct {
 	Build func(v Variant, rng *rand.Rand) []LoadSite
 }
 
-// Generate produces at least n load events.
-func (p *LoadProgram) Generate(v Variant, n int) []trace.LoadEvent {
+// Emit executes the load sites of variant v pass after pass until at
+// least n loads have been produced (it completes the final pass),
+// calling emit once per load in execution order with the load's PC and
+// the value it observes. It is the one emission loop of a value
+// program: Generate and the trace store's confidence streams are both
+// built on it.
+func (p *LoadProgram) Emit(v Variant, n int, emit func(pc, value uint64)) {
 	seed := v.seed(p.Seed)
 	setup := rand.New(rand.NewSource(seed ^ 0x10ad))
 	body := p.Build(v, setup)
+	pcs := make([]uint64, len(body))
+	for i, s := range body {
+		pcs[i] = s.PC()
+	}
 	env := &LoadEnv{Rng: rand.New(rand.NewSource(seed))}
-	events := make([]trace.LoadEvent, 0, n+16)
-	for len(events) < n {
-		for _, s := range body {
-			events = append(events, trace.LoadEvent{PC: s.PC(), Value: s.NextValue(env)})
+	for emitted := 0; emitted < n; emitted += len(body) {
+		for i, s := range body {
+			emit(pcs[i], s.NextValue(env))
 		}
 	}
+}
+
+// Generate produces at least n load events: Emit's loads as records.
+func (p *LoadProgram) Generate(v Variant, n int) []trace.LoadEvent {
+	events := make([]trace.LoadEvent, 0, n+16)
+	p.Emit(v, n, func(pc, value uint64) {
+		events = append(events, trace.LoadEvent{PC: pc, Value: value})
+	})
 	return events
 }
 
