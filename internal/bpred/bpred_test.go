@@ -306,6 +306,62 @@ func TestTrainCustomPackedMemo(t *testing.T) {
 	}
 }
 
+// TestTrainCustomEachMatchesPacked checks the flat batch against
+// training each trace on its own: one trace already memoized, the others
+// cold, every set equal to a cold single-trace run on a fresh copy of
+// its trace, and every new set left in its trace's memo.
+func TestTrainCustomEachMatchesPacked(t *testing.T) {
+	names := []string{"vortex", "gs", "gsm"}
+	pack := func() []*tracestore.Packed {
+		out := make([]*tracestore.Packed, len(names))
+		for i, name := range names {
+			prog, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = tracestore.Pack(prog.Generate(workload.Train, 40_000))
+		}
+		return out
+	}
+	opt := TrainOptions{MaxEntries: 6, Order: 7, MinExecutions: 64, Workers: 1}
+	for _, workers := range []int{1, 3} {
+		traces := pack()
+		warm, err := TrainCustomPacked(traces[1], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := opt
+		batch.Workers = workers
+		got, sets, err := TrainCustomEach(len(traces), func(i int) *tracestore.Packed { return traces[i] }, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, traces) {
+			t.Fatalf("workers=%d: returned traces are not the fetched ones", workers)
+		}
+		if !slices.Equal(sets[1], warm) {
+			t.Errorf("workers=%d: the memoized trace was trained again", workers)
+		}
+		cold := pack()
+		for i := range traces {
+			want, err := TrainCustomPacked(cold[i], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sets[i], want) {
+				t.Errorf("workers=%d: %s entries differ from a single-trace run", workers, names[i])
+			}
+			memo, err := TrainCustomPacked(traces[i], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(memo, sets[i]) {
+				t.Errorf("workers=%d: %s entry set did not land in its trace's memo", workers, names[i])
+			}
+		}
+	}
+}
+
 func TestTrainCustomRespectsMinExecutions(t *testing.T) {
 	var events []trace.BranchEvent
 	events = append(events, alternating(0xa0, 10)...) // too rare

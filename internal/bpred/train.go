@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"fsmpredict/internal/core"
+	"fsmpredict/internal/markov"
 	"fsmpredict/internal/par"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/tracestore"
@@ -25,9 +26,10 @@ type TrainOptions struct {
 	// MinExecutions skips branches executed fewer times in the profile,
 	// avoiding machines built from statistically meaningless models.
 	MinExecutions int
-	// Workers bounds how many per-branch designs run concurrently; each
-	// branch's design is independent, so the batch parallelizes freely.
-	// 0 means GOMAXPROCS; the result is bit-identical for any value.
+	// Workers bounds how many training tasks (per-trace ranking and
+	// profiling, per-branch designs) run at once; each branch's design
+	// is independent, so the batch parallelizes freely. 0 means
+	// GOMAXPROCS; the result is bit-identical for any value.
 	Workers int
 }
 
@@ -155,28 +157,104 @@ type trainKey struct{ opt TrainOptions }
 // The entry set is memoized on the trace (tracestore.Packed.Derive), so
 // every caller training the same trace with the same options — Figures 4
 // and 5 both train the suite — designs it once. Each call returns a
-// fresh slice over the shared, immutable entries.
+// fresh slice over the shared, immutable entries. It is TrainCustomEach
+// over one trace.
 func TrainCustomPacked(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	key := trainKey{opt}
-	key.opt.Workers = 0
-	v, err := tr.Derive(key, func() (any, error) { return trainCustom(tr, opt) })
+	_, sets, err := TrainCustomEach(1, func(int) *tracestore.Packed { return tr }, opt)
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(v.([]*CustomEntry)), nil
+	return sets[0], nil
 }
 
-// trainCustom is TrainCustomPacked's uncached body: rank, profile the
-// chosen branches, and design one machine per branch.
-func trainCustom(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error) {
-	ranked := RankByMissesPacked(tr)
-	var chosen []Ranked
+// TrainCustomEach trains n traces' entry sets through one flat pool of
+// at most opt.Workers tasks and returns the traces and entry sets by
+// index; each set equals TrainCustomPacked on its trace. The first stage
+// runs one task per trace: trace(i) fetches the trace, then the task
+// takes the set from the trace's memo or ranks the trace and profiles
+// its chosen branches. These are the long tasks, so they go first. The
+// second stage designs every chosen branch of every trace not memoized,
+// one design per task, so the designs of all traces share the workers
+// instead of queueing trace by trace. Each new set is then memoized on
+// its trace. Two concurrent callers missing the memo on one trace both
+// design it, and both return the set stored first.
+func TrainCustomEach(n int, trace func(i int) *tracestore.Packed, opt TrainOptions) ([]*tracestore.Packed, [][]*CustomEntry, error) {
+	if err := opt.validate(); err != nil {
+		return nil, nil, err
+	}
+	key := trainKey{opt}
+	key.opt.Workers = 0
+	ctx := context.Background()
+	traces := make([]*tracestore.Packed, n)
+	sets := make([][]*CustomEntry, n)
+	memoized := make([]bool, n)
+	plans, err := par.Map(ctx, opt.Workers, n, func(i int) (trainPlan, error) {
+		traces[i] = trace(i)
+		if v, ok := traces[i].Lookup(key); ok {
+			sets[i], memoized[i] = v.([]*CustomEntry), true
+			return trainPlan{}, nil
+		}
+		return planTraining(traces[i], opt)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Each branch's design is an independent run of the §4 pipeline;
+	// entries land by rank whatever the schedule.
+	type job struct{ set, rank int }
+	var jobs []job
+	for i, p := range plans {
+		if !memoized[i] {
+			sets[i] = make([]*CustomEntry, len(p.chosen))
+			for k := range p.chosen {
+				jobs = append(jobs, job{i, k})
+			}
+		}
+	}
+	if _, err := par.Map(ctx, opt.Workers, len(jobs), func(j int) (struct{}, error) {
+		i, k := jobs[j].set, jobs[j].rank
+		pc := plans[i].chosen[k].PC
+		design, err := core.FromModel(plans[i].models[k], core.Options{
+			Name: fmt.Sprintf("branch_%#x", pc),
+		})
+		if err != nil {
+			return struct{}{}, fmt.Errorf("bpred: designing FSM for %#x: %v", pc, err)
+		}
+		sets[i][k] = &CustomEntry{Tag: pc, Machine: design.Machine}
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, nil, err
+	}
+
+	for i := range sets {
+		if !memoized[i] {
+			fresh := sets[i]
+			v, err := traces[i].Derive(key, func() (any, error) { return fresh, nil })
+			if err != nil {
+				return nil, nil, err
+			}
+			sets[i] = v.([]*CustomEntry)
+		}
+		sets[i] = slices.Clone(sets[i])
+	}
+	return traces, sets, nil
+}
+
+// trainPlan is one trace's chosen branches in rank order, with each
+// branch's global-history model.
+type trainPlan struct {
+	chosen []Ranked
+	models []*markov.Model
+}
+
+// planTraining ranks the trace and profiles the branches it chooses:
+// the worst-predicted MaxEntries executed at least MinExecutions times.
+func planTraining(tr *tracestore.Packed, opt TrainOptions) (trainPlan, error) {
+	var p trainPlan
 	var ids []int32
-	for _, r := range ranked {
-		if len(chosen) >= opt.MaxEntries {
+	for _, r := range RankByMissesPacked(tr) {
+		if len(p.chosen) >= opt.MaxEntries {
 			break
 		}
 		if r.Execs < opt.MinExecutions {
@@ -184,24 +262,11 @@ func trainCustom(tr *tracestore.Packed, opt TrainOptions) ([]*CustomEntry, error
 		}
 		id, ok := tr.IDOf(r.PC)
 		if !ok {
-			return nil, fmt.Errorf("bpred: ranked PC %#x missing from trace", r.PC)
+			return p, fmt.Errorf("bpred: ranked PC %#x missing from trace", r.PC)
 		}
 		ids = append(ids, id)
-		chosen = append(chosen, r)
+		p.chosen = append(p.chosen, r)
 	}
-	models := tr.GlobalModels(ids, opt.Order)
-
-	// Each branch's design is an independent run of the §4 pipeline, so
-	// the batch fans out across workers; output order follows rank order
-	// regardless of scheduling.
-	return par.MapSlice(context.Background(), opt.Workers, chosen,
-		func(i int, r Ranked) (*CustomEntry, error) {
-			design, err := core.FromModel(models[i], core.Options{
-				Name: fmt.Sprintf("branch_%#x", r.PC),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bpred: designing FSM for %#x: %v", r.PC, err)
-			}
-			return &CustomEntry{Tag: r.PC, Machine: design.Machine}, nil
-		})
+	p.models = tr.GlobalModels(ids, opt.Order)
+	return p, nil
 }

@@ -8,13 +8,16 @@
 package confidence
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/core"
 	"fsmpredict/internal/counters"
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/markov"
+	"fsmpredict/internal/par"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/vpred"
 )
@@ -179,33 +182,58 @@ func FSMCurve(model *markov.Model, thresholds []float64, loads []trace.LoadEvent
 }
 
 func fsmCurve(model *markov.Model, thresholds []float64, eval func(*fsm.Machine) Result) ([]FSMPoint, error) {
-	out, err := designCurve(model, thresholds)
+	curves, err := DesignCurves([]*markov.Model{model}, thresholds, 1)
 	if err != nil {
 		return nil, err
 	}
+	out := curves[0]
 	for i := range out {
 		out[i].Result = eval(out[i].Machine)
 	}
 	return out, nil
 }
 
-// designCurve designs the threshold sweep's machines without evaluating
-// them, so batch evaluators (FSMCurveStreams' fleet pass) can score the
-// whole sweep in one trace read.
-func designCurve(model *markov.Model, thresholds []float64) ([]FSMPoint, error) {
+// DesignCurves designs one confidence FSM per (model, bias threshold)
+// pair, unscored, and returns curves[i][j] for models[i] at
+// thresholds[j] (DefaultThresholds when empty), so batch evaluators
+// (FSMCurveStreams' fleet pass) can score a whole curve in one trace
+// read. The designs run as one pool of at most workers tasks (<= 0 means
+// GOMAXPROCS), highest-order models first: a design's cost grows
+// steeply with the history length (an order-10 curve costs about six
+// times an order-8 one on the Figure 2 suite), so the long designs start
+// at once and the short ones fill the tail. The machines do not depend
+// on the schedule.
+func DesignCurves(models []*markov.Model, thresholds []float64, workers int) ([][]FSMPoint, error) {
 	if len(thresholds) == 0 {
 		thresholds = DefaultThresholds()
 	}
-	out := make([]FSMPoint, 0, len(thresholds))
-	for _, thr := range thresholds {
+	byOrder := make([]int, len(models))
+	for i := range byOrder {
+		byOrder[i] = i
+	}
+	slices.SortStableFunc(byOrder, func(a, b int) int {
+		return models[b].Order() - models[a].Order()
+	})
+	curves := make([][]FSMPoint, len(models))
+	for i := range curves {
+		curves[i] = make([]FSMPoint, len(thresholds))
+	}
+	nt := len(thresholds)
+	_, err := par.Map(context.Background(), workers, len(models)*nt, func(t int) (struct{}, error) {
+		i, j := byOrder[t/nt], t%nt
+		model, thr := models[i], thresholds[j]
 		design, err := core.FromModel(model, core.Options{
 			BiasThreshold: thr,
 			Name:          fmt.Sprintf("conf_h%d_t%02.0f", model.Order(), thr*100),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("confidence: threshold %v: %v", thr, err)
+			return struct{}{}, fmt.Errorf("confidence: threshold %v: %v", thr, err)
 		}
-		out = append(out, FSMPoint{Threshold: thr, Machine: design.Machine})
+		curves[i][j] = FSMPoint{Threshold: thr, Machine: design.Machine}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return curves, nil
 }

@@ -148,24 +148,33 @@ func PerEntryModel(cs *tracestore.ConfStreams, order int) *markov.Model {
 
 // FSMCurveStreams designs one confidence FSM per bias threshold from the
 // given per-entry correctness model and evaluates each by segment
-// replay, matching FSMCurve. The whole threshold sweep is designed
-// first, then scored in a single fleet pass — one trace read for the
-// curve instead of one per point.
+// replay, matching FSMCurve. It is DesignCurves for one model on the
+// calling goroutine, then one fleet pass scoring the whole threshold
+// sweep — one trace read for the curve instead of one per point.
 func FSMCurveStreams(model *markov.Model, thresholds []float64, cs *tracestore.ConfStreams) ([]FSMPoint, error) {
-	points, err := designCurve(model, thresholds)
+	curves, err := DesignCurves([]*markov.Model{model}, thresholds, 1)
 	if err != nil {
 		return nil, err
 	}
+	if err := ScoreCurve(curves[0], cs); err != nil {
+		return nil, err
+	}
+	return curves[0], nil
+}
+
+// ScoreCurve fills in each point's Result by replaying the streams
+// through all the curve's machines in one EvaluateStreamsFleet pass.
+func ScoreCurve(points []FSMPoint, cs *tracestore.ConfStreams) error {
 	machines := make([]*fsm.Machine, len(points))
 	for i := range points {
 		machines[i] = points[i].Machine
 	}
 	results, err := EvaluateStreamsFleet(cs, machines)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range points {
 		points[i].Result = results[i]
 	}
-	return points, nil
+	return nil
 }

@@ -1,8 +1,11 @@
 package confidence
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"fsmpredict/internal/core"
 	"fsmpredict/internal/counters"
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/markov"
@@ -243,6 +246,43 @@ func TestFSMCurveStreamsMatches(t *testing.T) {
 		}
 		if got[i].Machine.NumStates() != want[i].Machine.NumStates() {
 			t.Fatalf("curve point %d machine sizes differ", i)
+		}
+	}
+}
+
+// TestDesignCurvesScheduleInvariant checks the pooled, highest-order-
+// first design grid against direct core.FromModel designs, with the
+// models listed out of order.
+func TestDesignCurvesScheduleInvariant(t *testing.T) {
+	_, cs := streamFixtures(t)
+	wide := PerEntryModel(cs, 6)
+	var models []*markov.Model
+	for _, h := range []int{2, 6, 4} {
+		m, err := wide.FoldTo(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	thresholds := []float64{0.5, 0.8, 0.99}
+	for _, workers := range []int{1, 3} {
+		curves, err := DesignCurves(models, thresholds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range models {
+			for j, thr := range thresholds {
+				want, err := core.FromModel(m, core.Options{
+					BiasThreshold: thr,
+					Name:          fmt.Sprintf("conf_h%d_t%02.0f", m.Order(), thr*100),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p := curves[i][j]; p.Threshold != thr || !reflect.DeepEqual(p.Machine, want.Machine) {
+					t.Fatalf("workers=%d: order-%d point %v differs from a direct design", workers, m.Order(), thr)
+				}
+			}
 		}
 	}
 }

@@ -22,9 +22,10 @@ type Config struct {
 	Histories []int
 	// TableLog2 sizes the stride value predictor (11 -> 2K entries).
 	TableLog2 int
-	// Workers bounds the fan-out of the embarrassingly parallel phases
-	// (per-branch designs, per-history curves, per-machine synthesis,
-	// per-area-point simulations). 0 means GOMAXPROCS; every experiment
+	// Workers bounds how many tasks a figure runs at once (per-program
+	// training, per-branch and per-threshold designs, per-machine
+	// synthesis, prefix sweeps, table chunks); 1 runs every figure on
+	// the calling goroutine. 0 means GOMAXPROCS; every experiment
 	// produces bit-identical results for any worker count.
 	Workers int
 	// Adaptive routes the figure sweeps' exact result vectors through

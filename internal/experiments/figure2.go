@@ -38,20 +38,20 @@ type Figure2Result struct {
 // algebra over the same counts the per-history re-profiling used to
 // produce, so the plotted points are bit-identical; the differential
 // tests at the markov, confidence and experiments layers enforce that.
+//
+// The panel runs as three pools of at most cfg.Workers tasks. The first
+// fetches and profiles the suite's training streams and fetches the
+// panel's test streams. The second designs the whole (history ×
+// threshold) grid, highest history first (confidence.DesignCurves): the
+// order-10 designs cost more than all shorter ones together, so they
+// start first. The third scores each history's curve in one fleet pass
+// and runs the counter sweep alongside, the sweep first as the longest.
 func Figure2(program string, cfg Config) (*Figure2Result, error) {
 	cfg = cfg.withDefaults()
 	target, err := workload.LoadByName(program)
 	if err != nil {
 		return nil, err
 	}
-	evalStreams := tracestore.Shared.ConfStreams(target, workload.Test, cfg.LoadEvents, cfg.TableLog2)
-
-	res := &Figure2Result{
-		Program: program,
-		SUD:     confidence.SUDSweepStreams(evalStreams),
-		Curves:  make(map[int][]confidence.FSMPoint, len(cfg.Histories)),
-	}
-
 	maxH := 0
 	for _, h := range cfg.Histories {
 		if h > maxH {
@@ -59,16 +59,21 @@ func Figure2(program string, cfg Config) (*Figure2Result, error) {
 		}
 	}
 	// Profile every program's training input once at the maximum history
-	// length and cross-train the whole suite in one pass. The streams are
-	// fetched concurrently, and each profile is memoized on its streams,
-	// so the five panels of the full figure profile each program once.
+	// length and cross-train the whole suite in one pass. Each profile
+	// is memoized on its streams, so the five panels of the full figure
+	// profile each program once, and the panel's test fetch is the last
+	// task of the same pool.
 	ctx := context.Background()
 	peers := workload.LoadSuite()
-	models, err := par.MapSlice(ctx, cfg.Workers, peers,
-		func(_ int, p *workload.LoadProgram) (*markov.Model, error) {
-			streams := tracestore.Shared.ConfStreams(p, workload.Train, cfg.LoadEvents, cfg.TableLog2)
-			return perEntryModel(streams, maxH)
-		})
+	var evalStreams *tracestore.ConfStreams
+	models, err := par.Map(ctx, cfg.Workers, len(peers)+1, func(i int) (*markov.Model, error) {
+		if i == len(peers) {
+			evalStreams = tracestore.Shared.ConfStreams(target, workload.Test, cfg.LoadEvents, cfg.TableLog2)
+			return nil, nil
+		}
+		streams := tracestore.Shared.ConfStreams(peers[i], workload.Train, cfg.LoadEvents, cfg.TableLog2)
+		return perEntryModel(streams, maxH)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -87,21 +92,29 @@ func Figure2(program string, cfg Config) (*Figure2Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s is not in the load suite", program)
 	}
-	// Each history length folds the wide model down and sweeps; fan out.
-	curves, err := par.MapSlice(ctx, cfg.Workers, cfg.Histories,
-		func(_ int, h int) ([]confidence.FSMPoint, error) {
-			model, err := wide.FoldTo(h)
-			if err != nil {
-				return nil, err
-			}
-			points, err := confidence.FSMCurveStreams(model, confidence.DefaultThresholds(), evalStreams)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: figure2 %s h=%d: %v", program, h, err)
-			}
-			return points, nil
-		})
+	folded := make([]*markov.Model, len(cfg.Histories))
+	for i, h := range cfg.Histories {
+		if folded[i], err = wide.FoldTo(h); err != nil {
+			return nil, err
+		}
+	}
+	curves, err := confidence.DesignCurves(folded, confidence.DefaultThresholds(), cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: figure2 %s: %v", program, err)
+	}
+
+	res := &Figure2Result{
+		Program: program,
+		Curves:  make(map[int][]confidence.FSMPoint, len(cfg.Histories)),
+	}
+	if _, err := par.Map(ctx, cfg.Workers, len(curves)+1, func(i int) (struct{}, error) {
+		if i == 0 {
+			res.SUD = confidence.SUDSweepStreams(evalStreams)
+			return struct{}{}, nil
+		}
+		return struct{}{}, confidence.ScoreCurve(curves[i-1], evalStreams)
+	}); err != nil {
+		return nil, fmt.Errorf("experiments: figure2 %s: %v", program, err)
 	}
 	for i, h := range cfg.Histories {
 		res.Curves[h] = curves[i]

@@ -48,32 +48,27 @@ func Figure4(cfg Config, sampleFrac float64) (*Figure4Result, error) {
 	if sampleFrac <= 0 || sampleFrac > 1 {
 		sampleFrac = 0.1
 	}
-	// Materialize the training traces concurrently (the store's
-	// singleflight makes concurrent fetches safe), then train program by
-	// program; each training fans its designs out across the workers.
+	// Fetch and train the whole suite in one flat pool: each program's
+	// fetch, ranking and profiling is one task, then every chosen
+	// branch's design is one task (bpred.TrainCustomEach). The entry
+	// sets land in their traces' memos, where Figure 5 finds them.
 	ctx := context.Background()
 	progs := workload.BranchSuite()
-	traces, err := par.MapSlice(ctx, cfg.Workers, progs,
-		func(_ int, prog *workload.Program) (*tracestore.Packed, error) {
-			return tracestore.Shared.Branches(prog, workload.Train, cfg.BranchEvents), nil
-		})
+	traces, sets, err := bpred.TrainCustomEach(len(progs), func(i int) *tracestore.Packed {
+		return tracestore.Shared.Branches(progs[i], workload.Train, cfg.BranchEvents)
+	}, bpred.TrainOptions{
+		MaxEntries:    cfg.MaxCustom,
+		Order:         cfg.Order,
+		MinExecutions: 64,
+		Workers:       cfg.Workers,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: figure4: %v", err)
 	}
 	var all []sampledEntry
-	for i, prog := range progs {
-		packed := traces[i]
-		entries, err := bpred.TrainCustomPacked(packed, bpred.TrainOptions{
-			MaxEntries:    cfg.MaxCustom,
-			Order:         cfg.Order,
-			MinExecutions: 64,
-			Workers:       cfg.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure4 %s: %v", prog.Name, err)
-		}
+	for i, entries := range sets {
 		for _, e := range entries {
-			all = append(all, sampledEntry{entry: e, packed: packed})
+			all = append(all, sampledEntry{entry: e, packed: traces[i]})
 		}
 	}
 	if len(all) == 0 {

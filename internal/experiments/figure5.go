@@ -52,13 +52,23 @@ func Figure5(program string, cfg Config, fsmArea func(states int) float64) (*Fig
 		fsmArea = f4.AreaModel()
 	}
 
-	// The packed traces come from the shared store: repeated Figure 5
-	// runs (and the other experiments) reuse one generation per
-	// (program, variant, length).
+	// Custom predictors trained on the training input: a memo hit after
+	// Figure 4, whose pool trained the whole suite.
 	train := tracestore.Shared.Branches(prog, workload.Train, cfg.BranchEvents)
-	test := tracestore.Shared.Branches(prog, workload.Test, cfg.BranchEvents)
+	entries, err := bpred.TrainCustomPacked(train, bpred.TrainOptions{
+		MaxEntries:    cfg.MaxCustom,
+		Order:         cfg.Order,
+		MinExecutions: 64,
+		Workers:       cfg.Workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: figure5 %s: %v", program, err)
+	}
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("experiments: figure5 %s: no custom entries", program)
+	}
 
-	res := &Figure5Result{Program: program}
+	res := &Figure5Result{Program: program, Entries: entries}
 	res.Gshare.Name, res.LGC.Name = "gshare", "lgc"
 	res.CustomSame.Name, res.CustomDiff.Name = "custom-same", "custom-diff"
 
@@ -76,9 +86,39 @@ func Figure5(program string, cfg Config, fsmArea func(states int) float64) (*Fig
 		lgcs[i] = bpred.NewLGC(bits)
 		tablePreds = append(tablePreds, lgcs[i])
 	}
+
+	// One area point per custom-predictor count. Under the update-all
+	// policy every prefix of the entry set shares base and runner state,
+	// so the whole sweep is one single-pass prefix simulation per input;
+	// with cfg.Adaptive the sweep memo serves repeated (trace,
+	// entry-set) runs without re-simulating. The work runs as two pools
+	// of at most w tasks. The first generates the test trace while the
+	// train sweep runs on the other w-1 workers, since the train trace is
+	// already resident. The second deals the table predictors over w
+	// round-robin chunks and runs the test sweep as one more task.
 	ctx := context.Background()
-	tableResults, err := runAllChunked(ctx, cfg.Workers, tablePreds, test)
-	if err != nil {
+	w := par.Workers(cfg.Workers, len(tablePreds))
+	var test *tracestore.Packed
+	var sameResults, diffResults []bpred.Result
+	if _, err := par.Map(ctx, w, 2, func(i int) (struct{}, error) {
+		if i == 0 {
+			test = tracestore.Shared.Branches(prog, workload.Test, cfg.BranchEvents)
+		} else {
+			sameResults = prefixSweep(entries, train, max(w-1, 1), cfg.Adaptive)
+		}
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, err
+	}
+	tableResults := make([]bpred.Result, len(tablePreds))
+	if _, err := par.Map(ctx, w, w+1, func(c int) (struct{}, error) {
+		if c == w {
+			diffResults = prefixSweep(entries, test, 1, cfg.Adaptive)
+			return struct{}{}, nil
+		}
+		runAllChunk(tablePreds, c, w, test, tableResults)
+		return struct{}{}, nil
+	}); err != nil {
 		return nil, err
 	}
 	res.XScale = stats.Point{X: x.Area(), Y: tableResults[0].MissRate()}
@@ -90,37 +130,6 @@ func Figure5(program string, cfg Config, fsmArea func(states int) float64) (*Fig
 		res.LGC.Points = append(res.LGC.Points,
 			stats.Point{X: l.Area(), Y: tableResults[1+len(gshares)+i].MissRate()})
 	}
-
-	// Custom predictors trained on the training input.
-	entries, err := bpred.TrainCustomPacked(train, bpred.TrainOptions{
-		MaxEntries:    cfg.MaxCustom,
-		Order:         cfg.Order,
-		MinExecutions: 64,
-		Workers:       cfg.Workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figure5 %s: %v", program, err)
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("experiments: figure5 %s: no custom entries", program)
-	}
-	res.Entries = entries
-
-	// One area point per custom-predictor count. Under the update-all
-	// policy every prefix of the entry set shares base and runner state,
-	// so the whole sweep is two single-pass prefix simulations (train and
-	// test input, run concurrently) instead of one pass per point — and
-	// within each pass the per-entry blocked replays shard across the
-	// configured workers. With cfg.Adaptive the sweep memo serves
-	// repeated (trace, entry-set) runs without re-simulating.
-	sweeps, err := par.MapSlice(ctx, 2, []*tracestore.Packed{train, test},
-		func(_ int, tr *tracestore.Packed) ([]bpred.Result, error) {
-			return prefixSweep(entries, tr, cfg.Workers, cfg.Adaptive), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	sameResults, diffResults := sweeps[0], sweeps[1]
 	for i := range entries {
 		c := bpred.NewCustom(entries[:i+1])
 		c.FSMArea = fsmArea
@@ -132,30 +141,21 @@ func Figure5(program string, cfg Config, fsmArea func(states int) float64) (*Fig
 	return res, nil
 }
 
-// runAllChunked batches predictors through bpred.RunAll in chunks, one
-// per worker: within a chunk the trace is read once for all its
-// predictors, across chunks the passes run concurrently. Predictors are
-// dealt round-robin — worker c gets c, c+w, c+2w, … — so each size sweep
-// (gshare and LGC costs grow with the table) spreads over every worker
-// instead of landing whole on one. Predictors are independent, so the
-// results are identical for any worker count.
-func runAllChunked(ctx context.Context, workers int, preds []bpred.Predictor, tr *tracestore.Packed) ([]bpred.Result, error) {
-	if len(preds) == 0 {
-		return nil, nil
+// runAllChunk runs chunk c of w through bpred.RunAll, writing each
+// predictor's result at its index in out: the predictors are dealt
+// round-robin — chunk c gets c, c+w, c+2w, … — so each size sweep
+// (gshare and LGC costs grow with the table) spreads over every chunk
+// instead of landing whole on one, and within a chunk the trace is read
+// once for all its predictors. Predictors are independent, so the
+// results are identical for any w.
+func runAllChunk(preds []bpred.Predictor, c, w int, tr *tracestore.Packed, out []bpred.Result) {
+	var chunk []bpred.Predictor
+	for j := c; j < len(preds); j += w {
+		chunk = append(chunk, preds[j])
 	}
-	w := par.Workers(workers, len(preds))
-	out := make([]bpred.Result, len(preds))
-	_, err := par.Map(ctx, w, w, func(c int) (struct{}, error) {
-		var chunk []bpred.Predictor
-		for j := c; j < len(preds); j += w {
-			chunk = append(chunk, preds[j])
-		}
-		for k, r := range bpred.RunAll(chunk, tr) {
-			out[c+k*w] = r
-		}
-		return struct{}{}, nil
-	})
-	return out, err
+	for k, r := range bpred.RunAll(chunk, tr) {
+		out[c+k*w] = r
+	}
 }
 
 // Series returns all curves (and the baseline point) as named series.

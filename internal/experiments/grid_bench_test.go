@@ -20,8 +20,12 @@ var gridSink *Figure5Result
 // grid be profiled with the standard toolchain, e.g.
 //
 //	go test -run '^$' -bench PaperGridCold -benchtime 5x -cpuprofile cpu.out ./internal/experiments/
+//
+// It reports cores: process CPU time over wall time, the mean number of
+// cores the grid kept busy (on unix, where getrusage reads the CPU time).
 func BenchmarkPaperGridCold(b *testing.B) {
 	cfg := DefaultConfig()
+	cpu0, cpuOK := processCPU()
 	for i := 0; i < b.N; i++ {
 		tracestore.Shared.Clear()
 		fsm.ResetBlockCache()
@@ -48,5 +52,8 @@ func BenchmarkPaperGridCold(b *testing.B) {
 		if _, err := Figure7(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if cpu1, ok := processCPU(); cpuOK && ok {
+		b.ReportMetric(float64(cpu1-cpu0)/float64(b.Elapsed()), "cores")
 	}
 }

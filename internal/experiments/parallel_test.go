@@ -147,3 +147,50 @@ func TestFigure2WarmEqualsCold(t *testing.T) {
 		t.Fatal("Figure 2 differs between a warm store and a cold run")
 	}
 }
+
+// TestPaperGridParallelDeterministic runs Figures 4, 2 and 5 in
+// paperrun's order on one shared store — so Figure 5 takes its entry
+// sets from the memo Figure 4's training pool filled — at several worker
+// counts and requires identical results. Histories {2, 10} make one
+// history's designs dominate, as on the paper grid, so the longest-first
+// schedules have uneven tasks to order.
+func TestPaperGridParallelDeterministic(t *testing.T) {
+	type grid struct {
+		F4 *Figure4Result
+		F2 []*Figure2Result
+		F5 []*Figure5Result
+	}
+	run := func(workers int) grid {
+		cfg := testConfig()
+		cfg.Histories = []int{2, 10}
+		cfg.Workers = workers
+		tracestore.Shared.Clear()
+		var g grid
+		var err error
+		if g.F4, err = Figure4(cfg, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range workload.LoadSuite() {
+			r, err := Figure2(p.Name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.F2 = append(g.F2, r)
+		}
+		area := g.F4.AreaModel()
+		for _, p := range workload.BranchSuite() {
+			r, err := Figure5(p.Name, cfg, area)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.F5 = append(g.F5, r)
+		}
+		return g
+	}
+	want := run(1)
+	for _, workers := range []int{2, 4} {
+		if got := run(workers); !reflect.DeepEqual(want, got) {
+			t.Fatalf("paper grid differs between workers=1 and workers=%d", workers)
+		}
+	}
+}

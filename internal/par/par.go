@@ -38,6 +38,11 @@ func Workers(requested, n int) int {
 // GOMAXPROCS; with workers == 1 (or n == 1) it runs inline on the calling
 // goroutine, making the sequential path identical to a plain loop.
 //
+// Indices are claimed in ascending order: a worker that finishes takes
+// the lowest index not yet claimed. Callers rely on this to schedule a
+// batch of uneven tasks longest first — put the costliest at index 0 and
+// the cheap ones fill the tail while it runs.
+//
 // The first error (by lowest index i) cancels the remaining work and is
 // returned; indices whose fn never ran are left as zero values. A
 // cancelled ctx stops new work and returns ctx.Err() unless some fn had

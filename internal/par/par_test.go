@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,6 +138,47 @@ func TestMapSlice(t *testing.T) {
 	for i, v := range out {
 		if v != len(in[i]) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, len(in[i]))
+		}
+	}
+}
+
+// TestMapClaimsInIndexOrder pins Map's claim order, which callers use to
+// start their costliest task first. Each fn records its index under a
+// mutex as it starts. A worker starts fn(i) right after claiming i, so
+// when claims ascend, every index below i is already claimed when i
+// starts, and at most workers-1 of them (one per other worker) can still
+// be between claim and record: the index recorded at position p is at
+// most p+workers-1. Any other claim order breaks that window at once —
+// descending claims, for one, record n-1 first.
+func TestMapClaimsInIndexOrder(t *testing.T) {
+	const workers, n = 3, 300
+	for round := 0; round < 20; round++ {
+		var (
+			mu  sync.Mutex
+			seq []int
+		)
+		if _, err := Map(context.Background(), workers, n, func(i int) (struct{}, error) {
+			mu.Lock()
+			seq = append(seq, i)
+			mu.Unlock()
+			runtime.Gosched()
+			return struct{}{}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, n)
+		for p, i := range seq {
+			if seen[i] {
+				t.Fatalf("round %d: index %d ran twice", round, i)
+			}
+			seen[i] = true
+			if i > p+workers-1 {
+				t.Fatalf("round %d: index %d started at position %d; claims are not ascending: %v",
+					round, i, p, seq[:p+1])
+			}
+		}
+		if len(seq) != n {
+			t.Fatalf("round %d: %d of %d indices ran", round, len(seq), n)
 		}
 	}
 }

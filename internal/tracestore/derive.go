@@ -3,6 +3,7 @@ package tracestore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // derived memoizes artifacts computed from one immutable trace — a
@@ -21,6 +22,7 @@ type derived struct {
 // builds it, concurrent and later callers wait on once and share it.
 type derivedSlot struct {
 	once sync.Once
+	done atomic.Bool // build returned; val and err are final
 	val  any
 	err  error
 }
@@ -44,6 +46,22 @@ func (d *derived) Derive(key any, build func() (any, error)) (any, error) {
 	s.once.Do(func() {
 		s.err = fmt.Errorf("tracestore: deriving %T: build panicked", key)
 		s.val, s.err = build()
+		s.done.Store(true)
 	})
 	return s.val, s.err
+}
+
+// Lookup returns the artifact stored under key if a build for it has
+// finished without error. It never builds and never waits, so a batch
+// can skip work already memoized without joining a build in flight.
+func (d *derived) Lookup(key any) (any, bool) {
+	v, ok := d.slots.Load(key)
+	if !ok {
+		return nil, false
+	}
+	s := v.(*derivedSlot)
+	if !s.done.Load() || s.err != nil {
+		return nil, false
+	}
+	return s.val, true
 }

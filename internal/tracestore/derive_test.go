@@ -72,6 +72,25 @@ func TestDeriveSingleflight(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("failed build ran %d times, want 1", n)
 	}
+
+	// Lookup sees only finished, successful builds and never builds.
+	if v, ok := p.Lookup(key{9}); !ok || v != got[0] {
+		t.Fatalf("Lookup of a built key: got %v, %v", v, ok)
+	}
+	if _, ok := p.Lookup(key{1}); ok {
+		t.Fatal("Lookup returned a key whose build failed")
+	}
+	if _, ok := p.Lookup(key{7}); ok {
+		t.Fatal("Lookup returned a key never derived")
+	}
+	if _, err := p.Derive(key{7}, func() (any, error) {
+		if _, ok := p.Lookup(key{7}); ok {
+			t.Error("Lookup returned a key whose build is in flight")
+		}
+		return &artifact{n: 7}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeriveDroppedByClear checks derived artifacts share their trace's
