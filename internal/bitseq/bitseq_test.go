@@ -240,18 +240,6 @@ func TestCubeContains(t *testing.T) {
 	}
 }
 
-func TestCubeIntersection(t *testing.T) {
-	a := MustParseCube("1xx")
-	b := MustParseCube("x0x")
-	got, ok := a.Intersection(b)
-	if !ok || got.String() != "10x" {
-		t.Fatalf("Intersection = %v/%v, want 10x", got, ok)
-	}
-	if _, ok := MustParseCube("1x").Intersection(MustParseCube("0x")); ok {
-		t.Error("disjoint cubes should not intersect")
-	}
-}
-
 func TestCubeCombine(t *testing.T) {
 	a := MustParseCube("101")
 	b := MustParseCube("111")

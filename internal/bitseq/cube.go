@@ -136,19 +136,6 @@ func (c Cube) Intersects(d Cube) bool {
 	return (c.Value^d.Value)&common == 0
 }
 
-// Intersection returns the largest cube contained in both c and d, and
-// whether it exists.
-func (c Cube) Intersection(d Cube) (Cube, bool) {
-	if !c.Intersects(d) {
-		return Cube{}, false
-	}
-	return Cube{
-		Value: c.Value | d.Value,
-		Care:  c.Care | d.Care,
-		Width: c.Width,
-	}, true
-}
-
 // Minterms enumerates every history the cube matches, in ascending order.
 // It allocates 2^FreeCount entries; callers must keep widths small.
 func (c Cube) Minterms() []uint32 {

@@ -25,9 +25,6 @@ func NewSet(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Universe returns the universe size n the set was created with.
-func (s *Set) Universe() int { return s.n }
-
 // Reset clears the set and, if needed, regrows it for a universe of n.
 // It reuses the existing backing array when large enough, so a scratch
 // set can serve many rounds without reallocating.

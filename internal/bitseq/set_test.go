@@ -8,7 +8,7 @@ import (
 
 func TestSetBasics(t *testing.T) {
 	s := NewSet(200)
-	if !s.Empty() || s.Len() != 0 || s.Universe() != 200 {
+	if !s.Empty() || s.Len() != 0 || s.n != 200 {
 		t.Fatal("new set not empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
@@ -71,12 +71,12 @@ func TestSetReset(t *testing.T) {
 	s := NewSet(100)
 	s.Add(99)
 	s.Reset(50)
-	if !s.Empty() || s.Universe() != 50 {
+	if !s.Empty() || s.n != 50 {
 		t.Fatal("Reset(50) did not clear")
 	}
 	s.Add(49)
 	s.Reset(1000)
-	if !s.Empty() || s.Universe() != 1000 {
+	if !s.Empty() || s.n != 1000 {
 		t.Fatal("Reset(1000) did not clear/grow")
 	}
 	s.Add(999)

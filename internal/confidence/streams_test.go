@@ -11,6 +11,7 @@ import (
 	"fsmpredict/internal/markov"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/tracestore"
+	"fsmpredict/internal/vpred"
 	"fsmpredict/internal/workload"
 )
 
@@ -31,26 +32,56 @@ func streamFixtures(t *testing.T) ([]trace.LoadEvent, *tracestore.ConfStreams) {
 }
 
 // TestStreamsMatchTrace checks the packed streams reproduce the trace
-// simulation exactly: same load count, and global bits matching a fresh
-// correctness trace.
+// simulation exactly: the segments cover every load, and each segment
+// holds the valid and correctness bits of one estimator lifetime, cut
+// from a fresh correctness trace by a test-side stride simulation.
 func TestStreamsMatchTrace(t *testing.T) {
 	loads, cs := streamFixtures(t)
 	if cs.Loads() != len(loads) {
 		t.Fatalf("streams cover %d loads, trace has %d", cs.Loads(), len(loads))
 	}
 	want := CorrectnessTrace(loads, streamTestLog2)
-	for i, w := range want {
-		if cs.Correct.At(i) != w {
-			t.Fatalf("global correctness bit %d = %v, want %v", i, cs.Correct.At(i), w)
+
+	// A segment opens when an entry is first touched or reallocated to
+	// a different load PC; it lists its loads and their valid bits.
+	type load struct {
+		i     int
+		valid bool
+	}
+	sp := vpred.New(streamTestLog2)
+	open := make([]int, sp.Size())
+	for i := range open {
+		open[i] = -1
+	}
+	owners := make([]uint64, sp.Size())
+	var segs [][]load
+	for i, ld := range loads {
+		acc := sp.Access(ld.PC, ld.Value)
+		if open[acc.Entry] < 0 || owners[acc.Entry] != ld.PC {
+			open[acc.Entry], owners[acc.Entry] = len(segs), ld.PC
+			segs = append(segs, nil)
 		}
+		s := open[acc.Entry]
+		segs[s] = append(segs[s], load{i, acc.Valid})
+	}
+
+	if len(cs.Segments) != len(segs) {
+		t.Fatalf("%d segments, simulation opens %d", len(cs.Segments), len(segs))
 	}
 	var segLoads int
-	for _, seg := range cs.Segments {
-		if seg.Valid.Len() != seg.Correct.Len() {
-			t.Fatal("segment valid/correct length mismatch")
+	for s, seg := range cs.Segments {
+		if seg.Valid.Len() != len(segs[s]) || seg.Correct.Len() != len(segs[s]) {
+			t.Fatalf("segment %d: %d valid and %d correct bits, simulation has %d loads",
+				s, seg.Valid.Len(), seg.Correct.Len(), len(segs[s]))
 		}
-		for i := 0; i < seg.Correct.Len(); i++ {
-			if seg.Correct.At(i) && !seg.Valid.At(i) {
+		for j, ld := range segs[s] {
+			if seg.Valid.At(j) != ld.valid {
+				t.Fatalf("segment %d valid bit %d (load %d) = %v, want %v", s, j, ld.i, seg.Valid.At(j), ld.valid)
+			}
+			if seg.Correct.At(j) != want[ld.i] {
+				t.Fatalf("segment %d correctness bit %d (load %d) = %v, want %v", s, j, ld.i, seg.Correct.At(j), want[ld.i])
+			}
+			if seg.Correct.At(j) && !seg.Valid.At(j) {
 				t.Fatal("correct bit set on invalid access")
 			}
 		}

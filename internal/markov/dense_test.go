@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"fsmpredict/internal/bitseq"
 )
 
 // newSparse builds a model that uses the sparse map even at a dense-eligible
@@ -93,17 +95,17 @@ func TestDenseMatchesSparse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, pair := range map[string][2][]uint32{
-			"on":  {dp.OnSet(), sp.OnSet()},
-			"off": {dp.OffSet(), sp.OffSet()},
-			"dc":  {dp.DCSet(), sp.DCSet()},
+		for name, pair := range map[string][2][]bitseq.Cube{
+			"on":  {dp.PredictOne, sp.PredictOne},
+			"off": {dp.PredictZero, sp.PredictZero},
+			"dc":  {dp.DontCare, sp.DontCare},
 		} {
 			if len(pair[0]) != len(pair[1]) {
 				t.Fatalf("order %d: %s-set size %d vs %d", order, name, len(pair[0]), len(pair[1]))
 			}
 			for i := range pair[0] {
 				if pair[0][i] != pair[1][i] {
-					t.Fatalf("order %d: %s-set[%d] %d vs %d", order, name, i, pair[0][i], pair[1][i])
+					t.Fatalf("order %d: %s-set[%d] %v vs %v", order, name, i, pair[0][i], pair[1][i])
 				}
 			}
 		}

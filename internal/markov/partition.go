@@ -105,20 +105,3 @@ func (m *Model) Partition(opt PartitionOptions) (*Partition, error) {
 	}
 	return p, nil
 }
-
-// OnSet returns the predict-1 minterm values.
-func (p *Partition) OnSet() []uint32 { return cubeValues(p.PredictOne) }
-
-// OffSet returns the predict-0 minterm values.
-func (p *Partition) OffSet() []uint32 { return cubeValues(p.PredictZero) }
-
-// DCSet returns the don't-care minterm values.
-func (p *Partition) DCSet() []uint32 { return cubeValues(p.DontCare) }
-
-func cubeValues(cs []bitseq.Cube) []uint32 {
-	out := make([]uint32, len(cs))
-	for i, c := range cs {
-		out[i] = c.Value
-	}
-	return out
-}

@@ -3,12 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,15 +157,18 @@ func TestDiskMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestWarmStartDesignSpeedup is the warm-start floor: one cold pass of
-// stored-trace design requests over HTTP with a disk tier beneath the
-// design cache, the trace store and the block-table cache; DropCaches;
-// then the identical pass again. The warm pass must be at least 1.5×
-// faster in wall clock, be served in part by the disk tier, and see no
-// corrupt artifact and no request error.
+// TestWarmStartDesignSpeedup is the warm-start floor. A pair is one cold
+// pass of stored-trace design requests over HTTP with a disk tier
+// beneath the design cache, the trace store and the block-table cache;
+// DropCaches; then the identical pass again. Every pair uses fresh
+// design names and fresh trace lengths, so each cold pass generates its
+// traces and runs every design. Every warm-pass design must come from
+// the disk tier, no artifact may read as corrupt and no request may
+// fail; the median speedup over the pairs must be at least 1.5×, which
+// one pair slowed by host load cannot sink.
 func TestWarmStartDesignSpeedup(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times two passes of 16 designs")
+		t.Skip("times five pairs of passes of 16 designs")
 	}
 	disk, err := disktier.Open(t.TempDir(), 0)
 	if err != nil {
@@ -181,20 +185,11 @@ func TestWarmStartDesignSpeedup(t *testing.T) {
 		s.Close()
 	})
 
-	// Two programs × eight names: every item is a distinct design over
-	// one of two stored 20k-event traces.
-	var items []string
-	for _, prog := range []string{"gsm", "vortex"} {
-		for i := 0; i < 8; i++ {
-			items = append(items, fmt.Sprintf(
-				`{"workload":{"program":%q,"variant":"train","events":20000},"options":{"order":2,"name":"warm_%s_%d"}}`,
-				prog, prog, i))
-		}
-	}
 	// pass issues every item once from four concurrent clients and
-	// returns the wall clock and the number of failed requests.
-	pass := func() (time.Duration, int) {
-		var next, failed atomic.Int64
+	// returns the wall clock, the number of failed requests and the
+	// number of responses served from cache.
+	pass := func(items []string) (time.Duration, int, int) {
+		var next, failed, hits atomic.Int64
 		var wg sync.WaitGroup
 		start := time.Now()
 		for w := 0; w < 4; w++ {
@@ -207,38 +202,60 @@ func TestWarmStartDesignSpeedup(t *testing.T) {
 						failed.Add(1)
 						continue
 					}
-					io.Copy(io.Discard, resp.Body)
+					var out DesignResponse
+					err = json.NewDecoder(resp.Body).Decode(&out)
 					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
+					if err != nil || resp.StatusCode != http.StatusOK {
 						failed.Add(1)
+					} else if out.CacheHit {
+						hits.Add(1)
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		return time.Since(start), int(failed.Load())
+		return time.Since(start), int(failed.Load()), int(hits.Load())
 	}
 
+	const pairs = 5
+	speedups := make([]float64, pairs)
 	before := disk.Stats()
-	cold, coldFailed := pass()
-	s.DropCaches()
-	mid := disk.Stats()
-	warm, warmFailed := pass()
-	after := disk.Stats()
+	for pair := 0; pair < pairs; pair++ {
+		// Two programs × eight names: every item is a distinct design
+		// over one of two stored traces this pair alone requests.
+		var items []string
+		for _, prog := range []string{"gsm", "vortex"} {
+			for i := 0; i < 8; i++ {
+				items = append(items, fmt.Sprintf(
+					`{"workload":{"program":%q,"variant":"train","events":%d},"options":{"order":2,"name":"warm_%d_%s_%d"}}`,
+					prog, 20000+1000*pair, pair, prog, i))
+			}
+		}
+		s.DropCaches()
+		cold, coldFailed, coldHits := pass(items)
+		s.DropCaches()
+		tierBefore := s.met.cacheTierHits.Value()
+		warm, warmFailed, warmHits := pass(items)
+		tierHits := s.met.cacheTierHits.Value() - tierBefore
 
-	speedup := cold.Seconds() / warm.Seconds()
-	t.Logf("cold %v, warm %v, speedup %.2fx, warm-pass disk hits %d",
-		cold, warm, speedup, after.Hits-mid.Hits)
-	if coldFailed > 0 || warmFailed > 0 {
-		t.Fatalf("request errors: %d cold, %d warm", coldFailed, warmFailed)
+		speedups[pair] = cold.Seconds() / warm.Seconds()
+		t.Logf("pair %d: cold %v, warm %v, speedup %.2fx", pair, cold, warm, speedups[pair])
+		if coldFailed > 0 || warmFailed > 0 {
+			t.Fatalf("pair %d: request errors: %d cold, %d warm", pair, coldFailed, warmFailed)
+		}
+		if coldHits != 0 {
+			t.Fatalf("pair %d: %d cold-pass designs served from cache", pair, coldHits)
+		}
+		if warmHits != len(items) || tierHits != uint64(len(items)) {
+			t.Fatalf("pair %d: %d of %d warm-pass designs served from cache, %d by the disk tier",
+				pair, warmHits, len(items), tierHits)
+		}
 	}
-	if after.Hits == mid.Hits {
-		t.Fatal("warm pass recorded no disk hits; the tier did not serve")
-	}
-	if after.Corrupt != before.Corrupt {
+	if after := disk.Stats(); after.Corrupt != before.Corrupt {
 		t.Fatalf("%d corrupt artifacts", after.Corrupt-before.Corrupt)
 	}
-	if speedup < 1.5 {
-		t.Fatalf("warm speedup %.2fx below floor 1.50x", speedup)
+	sort.Float64s(speedups)
+	if median := speedups[pairs/2]; median < 1.5 {
+		t.Fatalf("median warm speedup %.2fx (of %.2f) below floor 1.50x", median, speedups)
 	}
 }

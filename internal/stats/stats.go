@@ -161,30 +161,6 @@ func ParetoMax(pts []Point) []Point {
 	return out
 }
 
-// ParetoMinX extracts the frontier where smaller X (area) and smaller Y
-// (miss rate) are both better. The result is sorted by X ascending.
-func ParetoMinX(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	var out []Point
-	best := math.Inf(1)
-	for _, p := range sorted {
-		if p.Y < best {
-			out = append(out, p)
-			best = p.Y
-		}
-	}
-	return out
-}
-
 // Table is a simple aligned text table.
 type Table struct {
 	Headers []string
@@ -266,16 +242,4 @@ func CSV(series []Series) string {
 		}
 	}
 	return sb.String()
-}
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

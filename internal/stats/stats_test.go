@@ -95,24 +95,8 @@ func TestParetoMax(t *testing.T) {
 	}
 }
 
-func TestParetoMinX(t *testing.T) {
-	pts := []Point{
-		{100, 0.2}, {200, 0.15}, {150, 0.25}, {300, 0.05}, {250, 0.3},
-	}
-	front := ParetoMinX(pts)
-	want := []Point{{100, 0.2}, {200, 0.15}, {300, 0.05}}
-	if len(front) != len(want) {
-		t.Fatalf("front = %v, want %v", front, want)
-	}
-	for i := range want {
-		if front[i] != want[i] {
-			t.Fatalf("front = %v, want %v", front, want)
-		}
-	}
-}
-
 func TestParetoEmpty(t *testing.T) {
-	if ParetoMax(nil) != nil || ParetoMinX(nil) != nil {
+	if ParetoMax(nil) != nil {
 		t.Error("empty input should give empty frontier")
 	}
 }
@@ -177,14 +161,5 @@ func TestCSV(t *testing.T) {
 	want := "series,x,y\na,1,2\nb,3,4.5\n"
 	if out != want {
 		t.Errorf("CSV = %q, want %q", out, want)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
 	}
 }

@@ -111,30 +111,6 @@ func GlobalMarkov(events []BranchEvent, targets map[uint64]bool, order int) map[
 	return models
 }
 
-// LocalMarkov builds, for each requested branch, an order-N Markov model
-// over the branch's own (local) history — the alternative training input
-// the paper examined and found less robust across inputs than global
-// correlation (§7.3).
-func LocalMarkov(events []BranchEvent, targets map[uint64]bool, order int) map[uint64]*markov.Model {
-	models := make(map[uint64]*markov.Model, len(targets))
-	hists := make(map[uint64]*bitseq.History, len(targets))
-	for pc := range targets {
-		models[pc] = markov.New(order)
-		hists[pc] = bitseq.NewHistory(order)
-	}
-	for _, e := range events {
-		h, ok := hists[e.PC]
-		if !ok {
-			continue
-		}
-		if h.Warm() {
-			models[e.PC].Observe(h.Value(), e.Taken)
-		}
-		h.Push(e.Taken)
-	}
-	return models
-}
-
 // --- encodings ---
 
 const (

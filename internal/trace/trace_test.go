@@ -158,25 +158,6 @@ func TestGlobalMarkovSkipsColdStart(t *testing.T) {
 	}
 }
 
-func TestLocalMarkov(t *testing.T) {
-	// Branch 100 alternates; branch 50 adds global noise between.
-	var events []BranchEvent
-	for i := 0; i < 100; i++ {
-		events = append(events, BranchEvent{PC: 50, Taken: i%3 == 0})
-		events = append(events, BranchEvent{PC: 100, Taken: i%2 == 0})
-	}
-	models := LocalMarkov(events, map[uint64]bool{100: true}, 1)
-	m := models[100]
-	// Locally the branch alternates perfectly: after 1 always 0, after 0
-	// always 1.
-	if c := m.Count(1); c.Ones != 0 || c.Zeros == 0 {
-		t.Errorf("after local 1: %+v", c)
-	}
-	if c := m.Count(0); c.Zeros != 0 || c.Ones == 0 {
-		t.Errorf("after local 0: %+v", c)
-	}
-}
-
 func TestBranchBinaryRoundTrip(t *testing.T) {
 	events := randomBranches(3, 5000)
 	var buf bytes.Buffer

@@ -1,6 +1,8 @@
 package tracestore
 
 import (
+	"unsafe"
+
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/vpred"
@@ -27,36 +29,48 @@ type ConfSegment struct {
 }
 
 // ConfStreams is the order-independent residue of one (load trace,
-// table size) stride-predictor simulation: the global per-load valid and
-// correctness streams in trace order, plus the same bits re-cut into
-// per-entry estimator segments. Both the counter sweep and every
-// (history length, bias threshold) FSM evaluation of Figure 2 replay
-// these packed bits instead of re-running the two-delta predictor.
+// table size) stride-predictor simulation: the per-load valid and
+// correctness bits cut into per-entry estimator segments. Both the
+// counter sweep and every (history length, bias threshold) FSM
+// evaluation of Figure 2 replay these packed bits instead of re-running
+// the two-delta predictor.
 type ConfStreams struct {
-	// Segments lists estimator lifetimes in order of first load.
+	// Segments lists estimator lifetimes in order of first load; their
+	// lengths sum to Loads().
 	Segments []ConfSegment
-	// Valid and Correct are the whole-trace streams, in load order,
-	// driving the global (§6.3-literal) evaluation protocol.
-	Valid   *bitseq.Bits
-	Correct *bitseq.Bits
+	loads    int
 
 	derived // artifacts computed from these streams (derive.go)
 }
 
 // Loads returns the number of load events the streams were built from.
-func (c *ConfStreams) Loads() int { return c.Valid.Len() }
+func (c *ConfStreams) Loads() int { return c.loads }
 
-// Bytes estimates the retained size of the streams (the store's bytes
-// metric): four bit streams cover every load twice, as the global and
-// the segment view.
-func (c *ConfStreams) Bytes() uint64 { return uint64(4 * c.Loads() / 8) }
+// Bytes reports the resident size of the streams (the store's bytes
+// metric): each segment's slot, its two stream headers, their word
+// arrays and its span index, at the capacities they were allocated with.
+// A table small enough to thrash opens a segment per load, so the
+// per-segment headers can outweigh the bits themselves.
+func (c *ConfStreams) Bytes() uint64 {
+	const (
+		segSize  = uint64(unsafe.Sizeof(ConfSegment{}))
+		bitsSize = uint64(unsafe.Sizeof(bitseq.Bits{}))
+		runSize  = uint64(unsafe.Sizeof(bitseq.Run{}))
+	)
+	b := uint64(cap(c.Segments)) * segSize
+	for _, seg := range c.Segments {
+		words := cap(seg.Valid.Words()) + cap(seg.Correct.Words())
+		b += 2*bitsSize + 8*uint64(words) + runSize*uint64(cap(seg.Spans))
+	}
+	return b
+}
 
 // BuildConfStreams runs the two-delta stride predictor once over the
 // load trace and packs the resulting correctness bits. The segmentation
 // matches the confidence harness exactly: a new segment opens when an
 // entry is first touched or reallocated to a different load PC.
 func BuildConfStreams(loads []trace.LoadEvent, tableLog2 int) *ConfStreams {
-	b := newConfBuilder(len(loads), tableLog2)
+	b := newConfBuilder(tableLog2)
 	for _, ld := range loads {
 		b.add(ld.PC, ld.Value)
 	}
@@ -67,40 +81,32 @@ func BuildConfStreams(loads []trace.LoadEvent, tableLog2 int) *ConfStreams {
 // from its emission loop, with BuildConfStreams' builder: no load trace
 // is materialized.
 func buildConf(prog *workload.LoadProgram, v workload.Variant, n, tableLog2 int) *ConfStreams {
-	// A pass overshoots n by less than one body (at most 8 loads in the
-	// suite); a longer one only regrows the global streams.
-	b := newConfBuilder(n+64, tableLog2)
+	b := newConfBuilder(tableLog2)
 	prog.Emit(v, n, b.add)
 	return b.finish()
 }
 
-// confBuilder feeds loads through the stride predictor and writes the
-// global and per-segment valid/correct streams a word at a time.
+// confBuilder feeds loads through the stride predictor and writes each
+// segment's valid/correct streams a word at a time.
 type confBuilder struct {
-	sp             *vpred.StridePredictor
-	open           []int32  // segment of each table entry, -1 before first touch
-	owners         []uint64 // load PC each entry's open segment belongs to
-	valid, correct bitWriter
-	segs           []segWriter
+	sp     *vpred.StridePredictor
+	open   []int32  // segment of each table entry, -1 before first touch
+	owners []uint64 // load PC each entry's open segment belongs to
+	segs   []segWriter
+	loads  int
 }
 
 // segWriter holds one segment's streams while they are written.
 type segWriter struct{ valid, correct bitWriter }
 
-// newConfBuilder starts streams with room for about n loads.
-func newConfBuilder(n, tableLog2 int) *confBuilder {
+// newConfBuilder starts an empty build for a 2^tableLog2-entry table.
+func newConfBuilder(tableLog2 int) *confBuilder {
 	sp := vpred.New(tableLog2)
 	open := make([]int32, sp.Size())
 	for i := range open {
 		open[i] = -1
 	}
-	return &confBuilder{
-		sp:      sp,
-		open:    open,
-		owners:  make([]uint64, sp.Size()),
-		valid:   newBitWriter(n),
-		correct: newBitWriter(n),
-	}
+	return &confBuilder{sp: sp, open: open, owners: make([]uint64, sp.Size())}
 }
 
 // add runs one load through the predictor and records its bits.
@@ -113,21 +119,15 @@ func (b *confBuilder) add(pc, value uint64) {
 		b.open[acc.Entry] = s
 		b.owners[acc.Entry] = pc
 	}
-	correct := acc.Valid && acc.Correct
 	seg := &b.segs[s]
 	seg.valid.put(acc.Valid)
-	seg.correct.put(correct)
-	b.valid.put(acc.Valid)
-	b.correct.put(correct)
+	seg.correct.put(acc.Valid && acc.Correct)
+	b.loads++
 }
 
 // finish seals every stream and indexes the segments' spans.
 func (b *confBuilder) finish() *ConfStreams {
-	cs := &ConfStreams{
-		Valid:    b.valid.bits(),
-		Correct:  b.correct.bits(),
-		Segments: make([]ConfSegment, len(b.segs)),
-	}
+	cs := &ConfStreams{Segments: make([]ConfSegment, len(b.segs)), loads: b.loads}
 	for i := range b.segs {
 		seg := &b.segs[i]
 		cs.Segments[i] = ConfSegment{Valid: seg.valid.bits(), Correct: seg.correct.bits()}

@@ -24,7 +24,7 @@ const (
 	traceVersion = 1
 
 	confKind    = "confstream"
-	confVersion = 1
+	confVersion = 2
 
 	spanKind    = "spanidx"
 	spanVersion = 1
@@ -149,14 +149,11 @@ func decodePacked(payload []byte) (*Packed, bool) {
 	return p, true
 }
 
-// encodeConfStreams renders the global valid/correct streams followed
-// by each segment's length and streams.
+// encodeConfStreams renders the load count followed by each segment's
+// length and streams.
 func encodeConfStreams(cs *ConfStreams) []byte {
-	n := cs.Valid.Len()
-	b := make([]byte, 0, 24+2*(n/8)+24*len(cs.Segments)+2*(n/8))
-	b = disktier.AppendU32(b, uint32(n))
-	b = disktier.AppendU64s(b, cs.Valid.Words())
-	b = disktier.AppendU64s(b, cs.Correct.Words())
+	b := make([]byte, 0, 8+24*len(cs.Segments)+2*(cs.Loads()/8))
+	b = disktier.AppendU32(b, uint32(cs.Loads()))
 	b = disktier.AppendU32(b, uint32(len(cs.Segments)))
 	for _, seg := range cs.Segments {
 		b = disktier.AppendU32(b, uint32(seg.Valid.Len()))
@@ -172,22 +169,11 @@ func encodeConfStreams(cs *ConfStreams) []byte {
 func decodeConfStreams(payload []byte) (*ConfStreams, bool) {
 	r := disktier.NewReader(payload)
 	n := int(r.U32())
-	valid, ok := readStream(r, n)
-	if !ok {
-		return nil, false
-	}
-	correct, ok := readStream(r, n)
-	if !ok {
-		return nil, false
-	}
-	if !impliesBitwise(correct, valid) {
-		return nil, false
-	}
 	nseg := int(r.U32())
 	if r.Err() || nseg < 0 || nseg > n {
 		return nil, false
 	}
-	cs := &ConfStreams{Valid: valid, Correct: correct}
+	cs := &ConfStreams{loads: n}
 	total := 0
 	for i := 0; i < nseg; i++ {
 		sl := int(r.U32())

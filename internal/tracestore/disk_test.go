@@ -38,7 +38,7 @@ func confEqual(a, b *ConfStreams) bool {
 	}) bool {
 		return x.Len() == y.Len() && reflect.DeepEqual(x.Words(), y.Words())
 	}
-	if !eq(a.Valid, b.Valid) || !eq(a.Correct, b.Correct) || len(a.Segments) != len(b.Segments) {
+	if a.Loads() != b.Loads() || len(a.Segments) != len(b.Segments) {
 		return false
 	}
 	for i := range a.Segments {
@@ -102,17 +102,23 @@ func TestConfStreamsDiskCodecRoundTrip(t *testing.T) {
 		t.Fatal("decoded streams differ")
 	}
 
-	// A Correct bit outside Valid violates the harness invariant.
-	evil := BuildConfStreams(lp.Generate(workload.Train, 3000), 4)
-	for i := 0; i < evil.Valid.Len(); i++ {
-		if !evil.Valid.At(i) {
-			w := evil.Correct.Words()
-			w[i/64] |= 1 << uint(i%64)
-			break
+	// A Correct bit outside Valid violates the harness invariant, in
+	// the first segment, a middle one or the last. A segment's first
+	// load is its allocation miss, so its bit 0 is never valid.
+	n := len(want.Segments)
+	for _, s := range []int{0, n / 2, n - 1} {
+		evil := BuildConfStreams(lp.Generate(workload.Train, 3000), 4)
+		evil.Segments[s].Correct.Words()[0] |= 1
+		if _, ok := decodeConfStreams(encodeConfStreams(evil)); ok {
+			t.Fatalf("Correct-without-Valid in segment %d of %d accepted", s, n)
 		}
 	}
-	if _, ok := decodeConfStreams(encodeConfStreams(evil)); ok {
-		t.Fatal("Correct-without-Valid accepted")
+
+	// Segment lengths that do not sum to the load count are rejected.
+	short := BuildConfStreams(lp.Generate(workload.Train, 3000), 4)
+	short.loads++
+	if _, ok := decodeConfStreams(encodeConfStreams(short)); ok {
+		t.Fatal("segments not covering the load count accepted")
 	}
 }
 

@@ -451,3 +451,33 @@ func TestGlobalHistoryPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestConfStreamsBytesMatchesRetainedHeap pins Bytes to the heap a
+// built ConfStreams keeps alive: within 10% at the paper's 2K-entry
+// table, where a few long segments hold the bits, and at a 4-entry
+// table, where every load opens a segment of its own. The race
+// detector's own bookkeeping inflates the heap, so it is skipped there.
+func TestConfStreamsBytesMatchesRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("retained heap is inflated under the race detector")
+	}
+	lp, err := workload.LoadByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ log2, loads int }{{2, 100_000}, {vpred.TableLog2Default, 1_000_000}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		cs := buildConf(lp, workload.Train, c.loads, c.log2)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap := after.HeapAlloc - before.HeapAlloc
+		got := cs.Bytes()
+		t.Logf("log2=%d: %d segments, Bytes %d, retained heap %d", c.log2, len(cs.Segments), got, heap)
+		if d := float64(got) - float64(heap); d > 0.1*float64(heap) || -d > 0.1*float64(heap) {
+			t.Errorf("log2=%d: Bytes %d, retained heap %d: off by more than 10%%", c.log2, got, heap)
+		}
+		runtime.KeepAlive(cs)
+	}
+}
