@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"fsmpredict/internal/counters"
+	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/markov"
 	"fsmpredict/internal/trace"
+	"fsmpredict/internal/tracestore"
 	"fsmpredict/internal/vpred"
 	"fsmpredict/internal/workload"
 )
@@ -49,6 +51,7 @@ func TestEvaluateAlwaysConfident(t *testing.T) {
 	if r.Accuracy() != want {
 		t.Errorf("accuracy = %v, want %v", r.Accuracy(), want)
 	}
+	checkStaticStreams(t, loads, true)
 }
 
 func TestEvaluateNeverConfident(t *testing.T) {
@@ -58,6 +61,40 @@ func TestEvaluateNeverConfident(t *testing.T) {
 	})
 	if r.Flagged != 0 || r.Coverage() != 0 || r.Accuracy() != 1 {
 		t.Errorf("never-confident result = %+v", r)
+	}
+	checkStaticStreams(t, loads, false)
+}
+
+// checkStaticStreams scores a one-state machine that always (or never)
+// predicts confident by stream replay, alone and in a fleet beside its
+// opposite, and checks the tallies against their closed forms: every
+// load but each segment's allocating one is scored, the machine flags
+// all of them or none, and the correct ones are the streams' set bits.
+func checkStaticStreams(t *testing.T, loads []trace.LoadEvent, confident bool) {
+	t.Helper()
+	static := func(out bool) *fsm.Machine {
+		return &fsm.Machine{Output: []bool{out}, Next: [][2]int{{0, 0}}}
+	}
+	m := static(confident)
+	for _, log2 := range []int{2, vpred.TableLog2Default} {
+		cs := tracestore.BuildConfStreams(loads, log2)
+		var ones int
+		for _, seg := range cs.Segments {
+			ones += seg.Correct.Ones()
+		}
+		want := Result{Accesses: cs.Loads() - len(cs.Segments), Correct: ones}
+		if confident {
+			want.Flagged, want.FlaggedCorrect = want.Accesses, ones
+		}
+		fleet, err := EvaluateStreamsFleet(cs, []*fsm.Machine{m, static(!confident)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]Result{"machine": EvaluateStreamsMachine(cs, m), "fleet": fleet[0]} {
+			if got != want {
+				t.Errorf("log2=%d %s: confident=%v result %+v, want %+v", log2, name, confident, got, want)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package confidence
 
 import (
-	"math/bits"
-
 	"fsmpredict/internal/counters"
 	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/markov"
@@ -18,65 +16,42 @@ import (
 // counterpart by the package's differential tests; the load-trace
 // versions remain the oracle.
 
-// EvaluateStreams replays the per-entry segments through fresh
-// estimators, one per segment — exactly what Evaluate computes by
-// re-simulating the stride predictor.
-func EvaluateStreams(cs *tracestore.ConfStreams, newEstimator func() counters.Predictor) Result {
+// EvaluateStreamsMachine replays the per-entry segments through a
+// machine-backed estimator, matching Evaluate: per segment, one
+// ReplayGated pass over the packed correctness stream (8 events per
+// lookup when the machine has a block table) tallies flagged and
+// flagged-correct at every position. A segment's bit 0 is its
+// allocating load, which makes no prediction: it trains the estimator
+// but is not scored, so its one flag — the start state's output — comes
+// off again, and it adds no access. Being 0, it is never correct.
+func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
 	var r Result
+	unscored := startFlag(m)
 	for _, seg := range cs.Segments {
-		est := newEstimator()
-		n := seg.Valid.Len()
-		for i := 0; i < n; i++ {
-			correct := seg.Correct.At(i)
-			if seg.Valid.At(i) {
-				r.Accesses++
-				confident := est.Predict()
-				if correct {
-					r.Correct++
-				}
-				if confident {
-					r.Flagged++
-					if correct {
-						r.FlaggedCorrect++
-					}
-				}
-			}
-			est.Update(correct)
-		}
+		n := seg.Correct.Len()
+		flagged, flaggedCorrect := m.ReplayGated(seg.Correct.Words(), n, seg.Spans)
+		r.Flagged += flagged - unscored
+		r.FlaggedCorrect += flaggedCorrect
+		r.Accesses += n - 1
+		r.Correct += seg.Correct.Ones()
 	}
 	return r
 }
 
-// EvaluateStreamsMachine is EvaluateStreams for a machine-backed
-// estimator, replayed through the machine's packed gated walk: per
-// segment, one ReplayGated pass scores flagged/flagged-correct (8
-// events per lookup when the machine has a block table), and
-// accesses/correct reduce to word popcounts over the packed valid and
-// correct streams. Mismatched segment streams fall back to the generic
-// bit-at-a-time replay, the layer's scalar reference.
-func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
-	var r Result
-	for _, seg := range cs.Segments {
-		n := seg.Valid.Len()
-		cw, vw := seg.Correct.Words(), seg.Valid.Words()
-		flagged, flaggedCorrect, err := m.ReplayGated(cw, vw, n, seg.Spans)
-		if err != nil {
-			return EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
-		}
-		r.Flagged += flagged
-		r.FlaggedCorrect += flaggedCorrect
-		r.Accesses += seg.Valid.Ones()
-		r.Correct += onesAnd(vw, cw)
+// startFlag is 1 when the machine's start state predicts confident: the
+// flag it raises on a segment's unscored bit 0.
+func startFlag(m *fsm.Machine) int {
+	if m.Output[m.Start] {
+		return 1
 	}
-	return r
+	return 0
 }
 
 // EvaluateStreamsFleet is EvaluateStreamsMachine batched across
 // machines: the whole set replays each segment in one Fleet.ReplayGated
 // pass (structurally identical machines dedup to one walk), and the
-// segment popcounts for Accesses/Correct — the same for every machine —
-// are computed once and shared. Mismatched segment streams fall back
-// to per-machine evaluation; a nil or invalid machine is an error.
+// segment's Accesses/Correct — the same for every machine — are
+// computed once and shared. A nil or invalid machine is an error.
 func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) ([]Result, error) {
 	out := make([]Result, len(machines))
 	if len(machines) == 0 {
@@ -86,36 +61,22 @@ func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) (
 	if err != nil {
 		return nil, err
 	}
+	unscored := make([]int, len(machines))
+	for i, m := range machines {
+		unscored[i] = startFlag(m)
+	}
 	for _, seg := range cs.Segments {
-		n := seg.Valid.Len()
-		cw, vw := seg.Correct.Words(), seg.Valid.Words()
-		flagged, flaggedCorrect, err := fl.ReplayGated(cw, vw, n, seg.Spans)
-		if err != nil {
-			for i, m := range machines {
-				out[i] = EvaluateStreamsMachine(cs, m)
-			}
-			return out, nil
-		}
-		accesses := seg.Valid.Ones()
-		correct := onesAnd(vw, cw)
+		n := seg.Correct.Len()
+		flagged, flaggedCorrect := fl.ReplayGated(seg.Correct.Words(), n, seg.Spans)
+		correct := seg.Correct.Ones()
 		for i := range out {
-			out[i].Flagged += flagged[i]
+			out[i].Flagged += flagged[i] - unscored[i]
 			out[i].FlaggedCorrect += flaggedCorrect[i]
-			out[i].Accesses += accesses
+			out[i].Accesses += n - 1
 			out[i].Correct += correct
 		}
 	}
 	return out, nil
-}
-
-// onesAnd counts positions set in both packed streams (valid AND
-// correct accesses; the streams have equal bit length).
-func onesAnd(a, b []uint64) int {
-	c := 0
-	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
-	}
-	return c
 }
 
 // SUDSweepStreams evaluates the Figure 2 counter configurations by

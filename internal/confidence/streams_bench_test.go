@@ -50,9 +50,7 @@ func BenchmarkReplayGatedSpans(b *testing.B) {
 						if span {
 							runs = seg.Spans
 						}
-						if _, _, err := tab.ReplayGated(seg.Correct.Words(), seg.Valid.Words(), seg.Valid.Len(), runs); err != nil {
-							b.Fatal(err)
-						}
+						tab.ReplayGated(seg.Correct.Words(), seg.Correct.Len(), runs)
 					}
 				}
 			})

@@ -33,8 +33,11 @@ func streamFixtures(t *testing.T) ([]trace.LoadEvent, *tracestore.ConfStreams) {
 
 // TestStreamsMatchTrace checks the packed streams reproduce the trace
 // simulation exactly: the segments cover every load, and each segment
-// holds the valid and correctness bits of one estimator lifetime, cut
-// from a fresh correctness trace by a test-side stride simulation.
+// holds the correctness bits of one estimator lifetime, cut from a
+// fresh correctness trace by a test-side stride simulation. The same
+// simulation pins the invariant the stream layer's arithmetic rests
+// on: a segment's first load allocates its entry (no prediction) and
+// every later load hits it.
 func TestStreamsMatchTrace(t *testing.T) {
 	loads, cs := streamFixtures(t)
 	if cs.Loads() != len(loads) {
@@ -43,7 +46,8 @@ func TestStreamsMatchTrace(t *testing.T) {
 	want := CorrectnessTrace(loads, streamTestLog2)
 
 	// A segment opens when an entry is first touched or reallocated to
-	// a different load PC; it lists its loads and their valid bits.
+	// a different load PC; it lists its loads and whether each made a
+	// prediction.
 	type load struct {
 		i     int
 		valid bool
@@ -70,22 +74,18 @@ func TestStreamsMatchTrace(t *testing.T) {
 	}
 	var segLoads int
 	for s, seg := range cs.Segments {
-		if seg.Valid.Len() != len(segs[s]) || seg.Correct.Len() != len(segs[s]) {
-			t.Fatalf("segment %d: %d valid and %d correct bits, simulation has %d loads",
-				s, seg.Valid.Len(), seg.Correct.Len(), len(segs[s]))
+		if seg.Correct.Len() != len(segs[s]) {
+			t.Fatalf("segment %d: %d correct bits, simulation has %d loads", s, seg.Correct.Len(), len(segs[s]))
 		}
 		for j, ld := range segs[s] {
-			if seg.Valid.At(j) != ld.valid {
-				t.Fatalf("segment %d valid bit %d (load %d) = %v, want %v", s, j, ld.i, seg.Valid.At(j), ld.valid)
+			if ld.valid != (j > 0) {
+				t.Fatalf("segment %d load %d (trace load %d) predicted = %v, want %v", s, j, ld.i, ld.valid, j > 0)
 			}
 			if seg.Correct.At(j) != want[ld.i] {
 				t.Fatalf("segment %d correctness bit %d (load %d) = %v, want %v", s, j, ld.i, seg.Correct.At(j), want[ld.i])
 			}
-			if seg.Correct.At(j) && !seg.Valid.At(j) {
-				t.Fatal("correct bit set on invalid access")
-			}
 		}
-		segLoads += seg.Valid.Len()
+		segLoads += seg.Correct.Len()
 	}
 	if segLoads != len(loads) {
 		t.Fatalf("segments cover %d loads, trace has %d", segLoads, len(loads))
@@ -94,17 +94,21 @@ func TestStreamsMatchTrace(t *testing.T) {
 
 // TestEvaluateStreamsMatchesEvaluate is the central differential test:
 // per-entry stream replay must be tally-for-tally identical to the
-// stride-predictor re-simulation for both counter estimators and FSM
-// runners.
+// stride-predictor re-simulation, with the counter itself as the
+// trace-side estimator and its machine expansion on the stream side —
+// at a table so small that every load opens its own segment, at the
+// fixtures' size, and at the paper's, where a few long segments hold
+// the bits.
 func TestEvaluateStreamsMatchesEvaluate(t *testing.T) {
-	loads, cs := streamFixtures(t)
-	for _, cfg := range counters.PaperSweep()[:8] {
-		cfg := cfg
-		mk := func() counters.Predictor { return counters.NewSUD(cfg) }
-		want := Evaluate(loads, streamTestLog2, mk)
-		got := EvaluateStreams(cs, mk)
-		if got != want {
-			t.Fatalf("config %+v: stream result %+v, trace result %+v", cfg, got, want)
+	loads, _ := streamFixtures(t)
+	for _, log2 := range []int{2, streamTestLog2, vpred.TableLog2Default} {
+		cs := tracestore.BuildConfStreams(loads, log2)
+		for _, cfg := range counters.PaperSweep()[:8] {
+			cfg := cfg
+			want := Evaluate(loads, log2, func() counters.Predictor { return counters.NewSUD(cfg) })
+			if got := EvaluateStreamsMachine(cs, cfg.Machine()); got != want {
+				t.Fatalf("log2=%d config %+v: stream result %+v, trace result %+v", log2, cfg, got, want)
+			}
 		}
 	}
 }
@@ -124,28 +128,27 @@ func TestSUDSweepStreamsMatches(t *testing.T) {
 	}
 }
 
-// TestEvaluateStreamsMachineMatches is the block-kernel differential
-// test: the gated byte-blocked replay must be tally-for-tally
-// identical to the generic per-bit estimator replay (the layer's
-// scalar reference), both for counter machines and for the scalar walk
-// a machine over the block-table bound takes.
+// TestEvaluateStreamsMachineMatches pins the gated byte-blocked replay
+// to the load-trace oracle with the machine's own runner as estimator,
+// both for counter machines and for the scalar walk a machine over the
+// block-table bound takes.
 func TestEvaluateStreamsMachineMatches(t *testing.T) {
-	_, cs := streamFixtures(t)
+	loads, cs := streamFixtures(t)
 	for _, cfg := range counters.PaperSweep()[:12] {
 		cfg := cfg
 		m := cfg.Machine()
-		want := EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
+		want := Evaluate(loads, streamTestLog2, func() counters.Predictor { return m.NewRunner() })
 		if got := EvaluateStreamsMachine(cs, m); got != want {
-			t.Fatalf("config %v: blocked %+v, generic %+v", cfg, got, want)
+			t.Fatalf("config %v: blocked %+v, trace %+v", cfg, got, want)
 		}
 		// The counter itself and its machine expansion must agree too.
-		asCounter := EvaluateStreams(cs, func() counters.Predictor { return counters.NewSUD(cfg) })
+		asCounter := Evaluate(loads, streamTestLog2, func() counters.Predictor { return counters.NewSUD(cfg) })
 		if asCounter != want {
 			t.Fatalf("config %v: SUD %+v, machine runner %+v", cfg, asCounter, want)
 		}
 	}
 	cfg := counters.PaperSweep()[0]
-	want := EvaluateStreams(cs, func() counters.Predictor { return counters.NewSUD(cfg) })
+	want := Evaluate(loads, streamTestLog2, func() counters.Predictor { return counters.NewSUD(cfg) })
 	big := oversized(cfg.Machine())
 	if fsm.BlockTableFor(big) != nil {
 		t.Fatalf("%d-state machine got a block table", big.NumStates())
@@ -167,12 +170,12 @@ func oversized(m *fsm.Machine) *fsm.Machine {
 }
 
 // TestEvaluateStreamsFleetMatches pins the batched fleet replay to the
-// generic per-bit replay: every machine of a mixed set (counter
-// machines, including a structural duplicate) must score exactly as
-// EvaluateStreams scores it alone, also when the set holds a machine
-// over the block-table bound.
+// load-trace oracle: every machine of a mixed set (counter machines,
+// including a structural duplicate) must score exactly as Evaluate
+// scores its runner, also when the set holds a machine over the
+// block-table bound.
 func TestEvaluateStreamsFleetMatches(t *testing.T) {
-	_, cs := streamFixtures(t)
+	loads, cs := streamFixtures(t)
 	var machines []*fsm.Machine
 	for _, cfg := range counters.PaperSweep()[:6] {
 		machines = append(machines, cfg.Machine())
@@ -181,7 +184,7 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	machines = append(machines, counters.PaperSweep()[0].Machine())
 	want := make([]Result, len(machines))
 	for i, m := range machines {
-		want[i] = EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
+		want[i] = Evaluate(loads, streamTestLog2, func() counters.Predictor { return m.NewRunner() })
 	}
 	check := func(label string, machines []*fsm.Machine) {
 		t.Helper()
@@ -194,7 +197,7 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 		}
 		for i := range machines {
 			if got[i] != want[i] {
-				t.Fatalf("%s: machine %d fleet %+v, generic %+v", label, i, got[i], want[i])
+				t.Fatalf("%s: machine %d fleet %+v, trace %+v", label, i, got[i], want[i])
 			}
 		}
 	}

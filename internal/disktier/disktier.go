@@ -19,9 +19,11 @@
 //   - Self-describing, corruption-checked encoding. Every file carries a
 //     magic, the artifact kind, a caller-supplied format-version byte
 //     and a CRC-32C of the payload. A file that fails any check —
-//     truncation, bit flips, a stale format version after an upgrade, a
-//     foreign kind — is counted, deleted and treated as a miss, so the
-//     worst corruption can do is force a clean recompute.
+//     truncation, bit flips, a foreign kind — is counted as corrupt,
+//     deleted and treated as a miss, so the worst corruption can do is
+//     force a clean recompute. A file whose header is intact but whose
+//     format version is stale, left by a build before a format upgrade,
+//     is deleted the same way but is only a miss, not corruption.
 //
 //   - Bounded size with LRU eviction. The store tracks total bytes and
 //     evicts least-recently-used artifacts past the bound. Access
@@ -42,6 +44,7 @@ package disktier
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -87,7 +90,8 @@ type Stats struct {
 	// Evictions counts artifacts removed by the size bound.
 	Evictions uint64
 	// Corrupt counts artifacts dropped for failing verification:
-	// truncation, checksum mismatch, stale format version, foreign kind.
+	// truncation, bad magic, checksum mismatch, foreign kind. A stale
+	// format version is dropped too, but counts only as a miss.
 	Corrupt uint64
 }
 
@@ -255,13 +259,17 @@ func (s *Store) Get(kind string, version byte, key string) (*Blob, bool) {
 	blob, err := readVerified(f, kind, version)
 	f.Close()
 	if err != nil {
-		s.dropCorrupt(ek)
+		s.drop(ek, !errors.Is(err, errStale))
 		return nil, false
 	}
 	s.touch(ek)
 	s.count(func(st *Stats) { st.Hits++ })
 	return blob, true
 }
+
+// errStale reports an intact artifact header carrying another format
+// version than the reader's.
+var errStale = errors.New("disktier: stale format version")
 
 // readVerified parses and checks an artifact file opened by the caller,
 // returning its payload blob (mmap-backed past the threshold).
@@ -282,11 +290,11 @@ func readVerified(f *os.File, kind string, version byte) (*Blob, error) {
 	if [4]byte(hdr[0:4]) != magic {
 		return nil, fmt.Errorf("disktier: bad magic")
 	}
-	if hdr[4] != version {
-		return nil, fmt.Errorf("disktier: format version %d, want %d", hdr[4], version)
-	}
 	if int(hdr[5]) != len(kind) || string(hdr[6:6+len(kind)]) != kind {
 		return nil, fmt.Errorf("disktier: artifact kind mismatch")
+	}
+	if hdr[4] != version {
+		return nil, errStale
 	}
 	rest := hdr[6+len(kind):]
 	payloadLen := int64(binary.LittleEndian.Uint64(rest[0:8]))
@@ -399,8 +407,9 @@ func (s *Store) evictLocked(keep entryKey) {
 	}
 }
 
-// dropCorrupt deletes an unusable artifact and records it.
-func (s *Store) dropCorrupt(ek entryKey) {
+// drop deletes an unusable artifact and records the miss, and the
+// corruption when it is one.
+func (s *Store) drop(ek entryKey, corrupt bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[ek]; ok {
 		e := el.Value.(*entryInfo)
@@ -409,7 +418,9 @@ func (s *Store) dropCorrupt(ek entryKey) {
 		delete(s.touched, ek)
 		s.total -= e.size
 	}
-	s.stats.Corrupt++
+	if corrupt {
+		s.stats.Corrupt++
+	}
 	s.stats.Misses++
 	s.mu.Unlock()
 	os.Remove(s.path(ek))

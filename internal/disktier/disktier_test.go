@@ -182,13 +182,18 @@ func TestCorruptionBitFlip(t *testing.T) {
 func TestCorruptionStaleFormatVersion(t *testing.T) {
 	s := mustOpen(t, 0)
 	s.Put("trace", 1, "k", testPayload(64))
+	p := artifactPath(t, s, "trace", "k")
 	// A reader that has moved to version 2 must treat v1 files as
-	// unusable and reap them.
+	// unusable and reap them. An upgrade is not corruption: the file
+	// counts as a miss only.
 	if _, ok := get(s, "trace", 2, "k"); ok {
 		t.Fatal("stale-version artifact served")
 	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt = %d, want 1", st.Corrupt)
+	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+		t.Fatalf("corrupt = %d, misses = %d, want 0 and 1", st.Corrupt, st.Misses)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("stale artifact not removed: %v", err)
 	}
 	// A subsequent same-version write works again.
 	s.Put("trace", 2, "k", testPayload(64))

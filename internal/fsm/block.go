@@ -193,23 +193,16 @@ func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32, r
 }
 
 // ReplayGated is the confidence-estimator replay: the machine steps on
-// every bit of the correctness stream from its start state, and
-// positions whose valid bit is set count toward flagged (machine
-// predicted confident) and flaggedCorrect (confident and the access was
-// correct) — exactly the per-segment loop of
-// confidence.EvaluateStreams. runs is an optional run index over the
-// correct stream. Both streams carry n bits in bitseq layout with zero
-// padding past n; mismatched stream lengths (or n beyond their
-// capacity) are an explicit error, never a silent truncation. Allocates
-// nothing.
-func (t *BlockTable) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
-	n, err = checkGatedStreams(correct, valid, n)
-	if err != nil {
-		return 0, 0, err
-	}
+// every bit of the correctness stream from its start state, and every
+// position counts toward flagged (machine predicted confident) and
+// flaggedCorrect (confident and the access was correct). runs is an
+// optional run index over the stream. n beyond the words' capacity is
+// clamped. Allocates nothing.
+func (t *BlockTable) ReplayGated(correct []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int) {
+	n, _ = clampSpan(correct, n, 0)
 	var tally spanTally
 	ln := t.lane(0)
-	flagged, flaggedCorrect = ln.gated(t.start[0], correct, valid, n, runs, &tally)
+	flagged, flaggedCorrect = ln.gated(t.start[0], correct, n, runs, &tally)
 	tally.flush()
-	return flagged, flaggedCorrect, nil
+	return flagged, flaggedCorrect
 }

@@ -262,35 +262,29 @@ func (f *Fleet) RunSampled(words []uint64, n int, pos [][]int32) []int {
 
 // ReplayGated is the confidence-estimator replay batched across the
 // fleet: every machine steps on all n bits of the packed correctness
-// stream from its start state, and valid positions where the machine
-// predicts confident count toward its flagged / flaggedCorrect tallies
-// — Machine.ReplayGated for N machines, with structurally identical
+// stream from its start state, and positions where the machine predicts
+// confident count toward its flagged / flaggedCorrect tallies —
+// Machine.ReplayGated for N machines, with structurally identical
 // machines walked once and fanned out. runs is an optional run index
-// over the correct stream. Mismatched stream lengths (or n beyond their
-// capacity) are an explicit error, never a silent truncation.
-func (f *Fleet) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect []int, err error) {
-	n, err = checkGatedStreams(correct, valid, n)
-	if err != nil {
-		return nil, nil, err
-	}
+// over the stream. n beyond the words' capacity is clamped.
+func (f *Fleet) ReplayGated(correct []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect []int) {
+	n, _ = clampSpan(correct, n, 0)
 	nb := f.slots()
 	uf := make([]int, nb+len(f.big))
 	ufc := make([]int, nb+len(f.big))
 	var tally spanTally
 	for u := 0; u < f.nuniq; u++ {
 		ln := f.lane(u)
-		uf[u], ufc[u] = ln.gated(f.start[u], correct, valid, n, runs, &tally)
+		uf[u], ufc[u] = ln.gated(f.start[u], correct, n, runs, &tally)
 	}
 	tally.flush()
 	for k, m := range f.big {
-		if uf[nb+k], ufc[nb+k], err = m.ReplayGated(correct, valid, n, runs); err != nil {
-			return nil, nil, err
-		}
+		uf[nb+k], ufc[nb+k] = m.ReplayGated(correct, n, runs)
 	}
 	flagged = make([]int, len(f.idx))
 	flaggedCorrect = make([]int, len(f.idx))
 	for i, u := range f.idx {
 		flagged[i], flaggedCorrect[i] = uf[u], ufc[u]
 	}
-	return flagged, flaggedCorrect, nil
+	return flagged, flaggedCorrect
 }

@@ -107,6 +107,16 @@ func TestPackedEntryPointsClampOverlongN(t *testing.T) {
 		if got := fl.RunParallelSpans(1, words, over, 5, r); got[0] != want || got[1] != want {
 			t.Fatalf("Fleet.RunParallelSpans over-long: %+v, want %+v", got, want)
 		}
+		wf, wfc := m.gatedScalar(words, capEvents)
+		if f, fc := tab.ReplayGated(words, over, r); f != wf || fc != wfc {
+			t.Fatalf("ReplayGated over-long: (%d,%d), want (%d,%d)", f, fc, wf, wfc)
+		}
+		if f, fc := fl.ReplayGated(words, over, r); f[1] != wf || fc[1] != wfc {
+			t.Fatalf("Fleet.ReplayGated over-long: (%d,%d), want (%d,%d)", f[1], fc[1], wf, wfc)
+		}
+		if f, fc := tab.ReplayGated(words, -5, r); f != 0 || fc != 0 {
+			t.Fatalf("ReplayGated on negative n: (%d,%d), want zeros", f, fc)
+		}
 	}
 	var pos []int32
 	for i := 0; i < n; i += 3 {

@@ -249,17 +249,12 @@ func (m *Machine) RunSampled(state int, words []uint64, n int, pos []int32, runs
 }
 
 // ReplayGated is BlockTable.ReplayGated for any valid machine: the
-// confidence-estimator replay from the start state, with mismatched
-// streams an explicit error.
-func (m *Machine) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
+// confidence-estimator replay from the start state.
+func (m *Machine) ReplayGated(correct []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int) {
 	if t := BlockTableFor(m); t != nil {
-		return t.ReplayGated(correct, valid, n, runs)
+		return t.ReplayGated(correct, n, runs)
 	}
-	if n, err = checkGatedStreams(correct, valid, n); err != nil {
-		return 0, 0, err
-	}
-	flagged, flaggedCorrect = m.gatedScalar(correct, valid, n)
-	return flagged, flaggedCorrect, nil
+	return m.gatedScalar(correct, n)
 }
 
 // runFromScalar is the bit-at-a-time form of BlockTable.RunFrom — the
@@ -309,13 +304,14 @@ func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32
 
 // gatedScalar is the bit-at-a-time form of BlockTable.ReplayGated —
 // the gated mode's reference: step on every bit of the correctness
-// stream from the start state, tallying the valid positions the
-// machine flags confident. The streams must hold n bits.
-func (m *Machine) gatedScalar(correct, valid []uint64, n int) (flagged, flaggedCorrect int) {
+// stream from the start state, tallying the positions the machine flags
+// confident. n beyond the words' capacity is clamped.
+func (m *Machine) gatedScalar(correct []uint64, n int) (flagged, flaggedCorrect int) {
+	n, _ = clampSpan(correct, n, 0)
 	s := m.Start
 	for i := 0; i < n; i++ {
 		cb := correct[i>>6]>>uint(i&63)&1 == 1
-		if valid[i>>6]>>uint(i&63)&1 == 1 && m.Output[s] {
+		if m.Output[s] {
 			flagged++
 			if cb {
 				flaggedCorrect++

@@ -72,42 +72,6 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGatedStreamsMismatchError pins the satellite fix: mismatched
-// gated streams are an explicit error, not a silent truncation — on the
-// single-machine table and the fleet, with and without a run index.
-func TestGatedStreamsMismatchError(t *testing.T) {
-	rng := rand.New(rand.NewSource(76))
-	m := randomMachine(rng, 8)
-	tab, err := CompileBlockTable(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := NewFleet([]*Machine{m, randomMachine(rng, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, long := make([]uint64, 2), make([]uint64, 3)
-	runs := []bitseq.Run{{Start: 0, Bytes: 8}}
-
-	for _, r := range [][]bitseq.Run{nil, runs} {
-		if _, _, err := tab.ReplayGated(short, long, 100, r); err == nil {
-			t.Fatal("BlockTable.ReplayGated accepted mismatched streams")
-		}
-		if _, _, err := fl.ReplayGated(long, short, 100, r); err == nil {
-			t.Fatal("Fleet.ReplayGated accepted mismatched streams")
-		}
-		if _, _, err := tab.ReplayGated(short, short, 129, r); err == nil {
-			t.Fatal("ReplayGated accepted n beyond the streams' capacity")
-		}
-		if _, _, err := tab.ReplayGated(short, short, 128, r); err != nil {
-			t.Fatalf("ReplayGated rejected an exactly-full stream: %v", err)
-		}
-		if f, fc, err := tab.ReplayGated(short, short, -5, r); err != nil || f != 0 || fc != 0 {
-			t.Fatalf("ReplayGated on negative n: (%d,%d,%v), want zeros", f, fc, err)
-		}
-	}
-}
-
 // TestSpanStatsAdvance checks the metrics counters actually move when
 // runs are skipped.
 func TestSpanStatsAdvance(t *testing.T) {

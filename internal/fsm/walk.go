@@ -1,7 +1,6 @@
 package fsm
 
 import (
-	"fmt"
 	"math/bits"
 
 	"fsmpredict/internal/bitseq"
@@ -16,8 +15,8 @@ import (
 //     as its eight-lane path and lane.full as its one-lane path);
 //   - sampled: advance on every event, score only listed positions
 //     (lane.sampled, the §7.3 update-all replay);
-//   - gated: the confidence-estimator tallies under a valid mask
-//     (lane.gated).
+//   - gated: the confidence-estimator tallies of flagged and
+//     flagged-correct positions (lane.gated).
 //
 // Every walker replays exactly the event sequence of the scalar
 // references (Machine.SimulateScalar, Machine.RunSampledScalar,
@@ -426,30 +425,22 @@ func (ln *lane) sampleBytes(s uint8, words []uint64, i, j int, pos []int32, c, m
 }
 
 // gated is the confidence-estimator replay: the lane steps from state s
-// on every bit of the correctness stream, and positions whose valid bit
-// is set count toward flagged (predicted confident) and flaggedCorrect
-// (confident and correct). With a run index over the correct stream, a
-// run is skipped only across stretches where the valid stream is
-// saturated: there the tallies are functions of the machine path alone
-// — on a ones run every predict-1 step is flagged and correct, on a
-// zeros run every predict-1 step is flagged and none is correct, and
-// the power tables' miss counts are exactly those step counts.
-// Elsewhere the run falls back to the gated byte loop.
-func (ln *lane) gated(s uint8, correct, valid []uint64, n int, runs []bitseq.Run, tally *spanTally) (flagged, flaggedCorrect int) {
+// on every bit of the correctness stream, and every position counts
+// toward flagged (predicted confident) and flaggedCorrect (confident and
+// correct). With a run index over the stream, each run takes its closed
+// form: the tallies are functions of the machine path alone — on a ones
+// run every predict-1 step is flagged and correct, on a zeros run every
+// predict-1 step is flagged and none is correct, and the power tables'
+// miss counts are exactly those step counts.
+func (ln *lane) gated(s uint8, correct []uint64, n int, runs []bitseq.Run, tally *spanTally) (flagged, flaggedCorrect int) {
 	r := 0
 	body := n &^ 7
 	for i := 0; i < body; {
 		rs, re := nextRun(runs, &r, i, body)
-		s, flagged, flaggedCorrect = ln.gatedBytes(s, correct, valid, i, rs, flagged, flaggedCorrect)
+		s, flagged, flaggedCorrect = ln.gatedBytes(s, correct, i, rs, flagged, flaggedCorrect)
 		i = rs
-		for i < re {
-			j := allOnesTo(valid, i, re)
-			if j == i {
-				s, flagged, flaggedCorrect = ln.gatedBytes(s, correct, valid, i, i+8, flagged, flaggedCorrect)
-				i += 8
-				continue
-			}
-			k, b := (j-i)>>3, runBit(runs[r])
+		if i < re {
+			k, b := (re-i)>>3, runBit(runs[r])
 			var m int
 			s, m = ln.span.walk(s, k, b)
 			if b == 1 {
@@ -459,14 +450,13 @@ func (ln *lane) gated(s uint8, correct, valid []uint64, n int, runs []bitseq.Run
 				flagged += m
 			}
 			tally.runs++
-			tally.skipped += j - i
-			i = j
+			tally.skipped += re - i
+			i = re
 		}
 	}
 	for i := body; i < n; i++ {
-		w, off := i>>6, uint(i&63)
-		cb := uint8(correct[w] >> off & 1)
-		if valid[w]>>off&1 == 1 && ln.out[s] == 1 {
+		cb := uint8(correct[i>>6] >> uint(i&63) & 1)
+		if ln.out[s] == 1 {
 			flagged++
 			flaggedCorrect += int(cb)
 		}
@@ -477,37 +467,17 @@ func (ln *lane) gated(s uint8, correct, valid []uint64, n int, runs []bitseq.Run
 
 // gatedBytes walks the whole bytes [i, j) of the gated replay through
 // the closure table, adding to the flagged tallies.
-func (ln *lane) gatedBytes(s uint8, correct, valid []uint64, i, j, flagged, flaggedCorrect int) (uint8, int, int) {
+func (ln *lane) gatedBytes(s uint8, correct []uint64, i, j, flagged, flaggedCorrect int) (uint8, int, int) {
 	tab := ln.tab
 	for ; i < j; i += 8 {
-		w, off := i>>6, uint(i&63)
-		cb := uint8(correct[w] >> off)
-		vb := uint8(valid[w] >> off)
+		cb := uint8(correct[i>>6] >> uint(i&63))
 		e := tab[int(s)<<blockShift|int(cb)]
 		pm := uint8(e >> 8)
-		flagged += bits.OnesCount8(vb & pm)
-		flaggedCorrect += bits.OnesCount8(vb & pm & cb)
+		flagged += bits.OnesCount8(pm)
+		flaggedCorrect += bits.OnesCount8(pm & cb)
 		s = uint8(e)
 	}
 	return s, flagged, flaggedCorrect
-}
-
-// allOnesTo returns the largest byte-aligned position j in [i, end]
-// such that bits [i, j) of the packed stream are all ones, scanning a
-// word at a time on aligned stretches. i and end must be byte-aligned.
-func allOnesTo(words []uint64, i, end int) int {
-	j := i
-	for j < end {
-		if j&63 == 0 && j+64 <= end && words[j>>6] == ^uint64(0) {
-			j += 64
-			continue
-		}
-		if uint8(words[j>>6]>>uint(j&63)) != 0xFF {
-			break
-		}
-		j += 8
-	}
-	return j
 }
 
 // clampSpan normalizes (n, skip) against the packed stream's capacity:
@@ -516,20 +486,4 @@ func allOnesTo(words []uint64, i, end int) int {
 func clampSpan(words []uint64, n, skip int) (int, int) {
 	n = min(max(n, 0), len(words)<<6)
 	return n, min(max(skip, 0), n)
-}
-
-// checkGatedStreams validates a gated replay's inputs: the two packed
-// streams must have the same word length and hold at least n bits.
-// Mismatched streams are a caller bug — silently truncating to the
-// shorter one would misattribute confidence tallies — so they are an
-// explicit error rather than a clamp.
-func checkGatedStreams(correct, valid []uint64, n int) (int, error) {
-	n = max(n, 0)
-	if len(correct) != len(valid) {
-		return 0, fmt.Errorf("fsm: gated replay streams differ: %d correct words vs %d valid words", len(correct), len(valid))
-	}
-	if capacity := len(correct) << 6; n > capacity {
-		return 0, fmt.Errorf("fsm: gated replay of %d events exceeds the streams' %d-bit capacity", n, capacity)
-	}
-	return n, nil
 }

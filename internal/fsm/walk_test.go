@@ -59,20 +59,19 @@ func (c *diffCase) index(kind runKind) []bitseq.Run {
 }
 
 // diffCase is one input of the matrix: a fleet's machines, the outcome
-// (or, gated, correctness) stream with its valid mask, per-machine
-// sampled positions and entry states.
+// (or, gated, correctness) stream, per-machine sampled positions and
+// entry states.
 type diffCase struct {
-	machines    []*Machine
-	bits, valid *bitseq.Bits
-	n           int
-	pos         [][]int32
-	states      []int
-	tabs        []*BlockTable // compiled on first use, outside the cache
+	machines []*Machine
+	bits     *bitseq.Bits
+	n        int
+	pos      [][]int32
+	states   []int
+	tabs     []*BlockTable // compiled on first use, outside the cache
 }
 
 // newDiffCase derives a case from rng: width machines (duplicates when
-// width > 16), a biased run-structured stream of n events and a valid
-// mask that saturates in long stretches, like a warm predictor table.
+// width > 16) and a biased run-structured stream of n events.
 func newDiffCase(rng *rand.Rand, width, n int) *diffCase {
 	c := &diffCase{n: n}
 	for j := 0; j < width; j++ {
@@ -87,7 +86,6 @@ func newDiffCase(rng *rand.Rand, width, n int) *diffCase {
 		c.machines = append(c.machines, randomMachine(rng, states))
 	}
 	c.bits = runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(200)))
-	c.valid = runnyBits(rng, n, 0.95, 200)
 	for _, m := range c.machines {
 		var pos []int32
 		for i := 0; i < n; i++ {
@@ -195,18 +193,14 @@ func (c *diffCase) check(t *testing.T, mode walkMode, fleet, fromState bool, kin
 		}
 	case gatedMode:
 		got, gotCorrect := make([]int, len(c.machines)), make([]int, len(c.machines))
-		var err error
 		if fleet {
-			got, gotCorrect, err = f.ReplayGated(words, c.valid.Words(), n, runs)
+			got, gotCorrect = f.ReplayGated(words, n, runs)
 		}
 		for j, m := range c.machines {
 			if !fleet {
-				got[j], gotCorrect[j], err = c.tabs[j].ReplayGated(words, c.valid.Words(), n, runs)
+				got[j], gotCorrect[j] = c.tabs[j].ReplayGated(words, n, runs)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantCorrect := m.gatedScalar(c.bits.Words(), c.valid.Words(), n)
+			want, wantCorrect := m.gatedScalar(words, n)
 			if got[j] != want || gotCorrect[j] != wantCorrect {
 				t.Fatalf("%s: gated (%d, %d), scalar (%d, %d)", where(j), got[j], gotCorrect[j], want, wantCorrect)
 			}
@@ -272,16 +266,15 @@ func TestFleetReplayGatedSpansMatchesBlockTable(t *testing.T) {
 }
 
 // fuzzWalks is the one fuzz body: genes pick a fleet of 1–17 small
-// machines (duplicates included), stream is the outcome stream and, bit
-// reversed, the valid mask, a gene trims a ragged tail, and skip8 is the
-// warm-up. Every mode × surface × run-index kind must match the scalar
+// machines (duplicates included), stream is the outcome stream, a gene
+// trims a ragged tail, and skip8 is the warm-up. Every mode × surface × run-index kind must match the scalar
 // references.
 func fuzzWalks(t *testing.T, genes, stream []byte, skip8 uint8) {
 	if len(genes) == 0 || len(stream) > 1<<12 {
 		return
 	}
 	at := func(i int) int { return int(genes[i%len(genes)]) }
-	c := &diffCase{bits: &bitseq.Bits{}, valid: &bitseq.Bits{}}
+	c := &diffCase{bits: &bitseq.Bits{}}
 	width := 1 + at(0)%17
 	g := 1
 	for j := 0; j < width; j++ {
@@ -303,7 +296,6 @@ func fuzzWalks(t *testing.T, genes, stream []byte, skip8 uint8) {
 	for _, b := range stream {
 		for k := 0; k < 8; k++ {
 			c.bits.AppendBit(int(b >> uint(k) & 1))
-			c.valid.AppendBit(int(b >> uint(7-k) & 1))
 		}
 	}
 	c.n = c.bits.Len() - at(1)%8%(c.bits.Len()+1)

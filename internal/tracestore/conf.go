@@ -16,11 +16,10 @@ import (
 // correctness stream, so any estimator can be evaluated by replaying
 // segments — no stride-predictor re-simulation needed.
 type ConfSegment struct {
-	// Valid marks loads whose access produced a value prediction (tag
-	// hit); only these are scored.
-	Valid *bitseq.Bits
-	// Correct marks loads that were validly predicted AND correct — the
-	// bit estimators train on (Correct implies Valid).
+	// Correct marks loads that were predicted AND correct — the bit
+	// estimators train on. Bit 0 is the load that allocated the entry:
+	// it made no prediction, so it is always 0 and is never scored;
+	// every later load of the segment hits the entry and is scored.
 	Correct *bitseq.Bits
 	// Spans indexes the homogeneous byte runs of Correct (bitseq.Runs)
 	// for the fsm span kernel's gated replay. Derived data: computed
@@ -29,11 +28,11 @@ type ConfSegment struct {
 }
 
 // ConfStreams is the order-independent residue of one (load trace,
-// table size) stride-predictor simulation: the per-load valid and
-// correctness bits cut into per-entry estimator segments. Both the
-// counter sweep and every (history length, bias threshold) FSM
-// evaluation of Figure 2 replay these packed bits instead of re-running
-// the two-delta predictor.
+// table size) stride-predictor simulation: the per-load correctness
+// bits cut into per-entry estimator segments. Both the counter sweep
+// and every (history length, bias threshold) FSM evaluation of Figure 2
+// replay these packed bits instead of re-running the two-delta
+// predictor.
 type ConfStreams struct {
 	// Segments lists estimator lifetimes in order of first load; their
 	// lengths sum to Loads().
@@ -47,8 +46,8 @@ type ConfStreams struct {
 func (c *ConfStreams) Loads() int { return c.loads }
 
 // Bytes reports the resident size of the streams (the store's bytes
-// metric): each segment's slot, its two stream headers, their word
-// arrays and its span index, at the capacities they were allocated with.
+// metric): each segment's slot, its stream header, its word array and
+// its span index, at the capacities they were allocated with.
 // A table small enough to thrash opens a segment per load, so the
 // per-segment headers can outweigh the bits themselves.
 func (c *ConfStreams) Bytes() uint64 {
@@ -59,8 +58,7 @@ func (c *ConfStreams) Bytes() uint64 {
 	)
 	b := uint64(cap(c.Segments)) * segSize
 	for _, seg := range c.Segments {
-		words := cap(seg.Valid.Words()) + cap(seg.Correct.Words())
-		b += 2*bitsSize + 8*uint64(words) + runSize*uint64(cap(seg.Spans))
+		b += bitsSize + 8*uint64(cap(seg.Correct.Words())) + runSize*uint64(cap(seg.Spans))
 	}
 	return b
 }
@@ -87,17 +85,14 @@ func buildConf(prog *workload.LoadProgram, v workload.Variant, n, tableLog2 int)
 }
 
 // confBuilder feeds loads through the stride predictor and writes each
-// segment's valid/correct streams a word at a time.
+// segment's correctness stream a word at a time.
 type confBuilder struct {
 	sp     *vpred.StridePredictor
 	open   []int32  // segment of each table entry, -1 before first touch
 	owners []uint64 // load PC each entry's open segment belongs to
-	segs   []segWriter
+	segs   []bitWriter
 	loads  int
 }
-
-// segWriter holds one segment's streams while they are written.
-type segWriter struct{ valid, correct bitWriter }
 
 // newConfBuilder starts an empty build for a 2^tableLog2-entry table.
 func newConfBuilder(tableLog2 int) *confBuilder {
@@ -115,13 +110,11 @@ func (b *confBuilder) add(pc, value uint64) {
 	s := b.open[acc.Entry]
 	if s < 0 || b.owners[acc.Entry] != pc {
 		s = int32(len(b.segs))
-		b.segs = append(b.segs, segWriter{})
+		b.segs = append(b.segs, bitWriter{})
 		b.open[acc.Entry] = s
 		b.owners[acc.Entry] = pc
 	}
-	seg := &b.segs[s]
-	seg.valid.put(acc.Valid)
-	seg.correct.put(acc.Valid && acc.Correct)
+	b.segs[s].put(acc.Correct)
 	b.loads++
 }
 
@@ -129,8 +122,7 @@ func (b *confBuilder) add(pc, value uint64) {
 func (b *confBuilder) finish() *ConfStreams {
 	cs := &ConfStreams{Segments: make([]ConfSegment, len(b.segs)), loads: b.loads}
 	for i := range b.segs {
-		seg := &b.segs[i]
-		cs.Segments[i] = ConfSegment{Valid: seg.valid.bits(), Correct: seg.correct.bits()}
+		cs.Segments[i] = ConfSegment{Correct: b.segs[i].bits()}
 	}
 	cs.indexSpans()
 	return cs

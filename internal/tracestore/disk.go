@@ -15,7 +15,7 @@ import (
 // (and the stride-predictor correctness streams derived from load
 // traces) serialize compactly, so a restarted process reloads them
 // instead of regenerating. Artifacts are validated on decode — length
-// against the key's event count, IDs against the PC table, implication
+// against the key's event count, IDs against the PC table, segment
 // invariants on the confidence bits — so corruption or key collisions
 // degrade to regeneration, never to wrong bits.
 
@@ -24,7 +24,7 @@ const (
 	traceVersion = 1
 
 	confKind    = "confstream"
-	confVersion = 2
+	confVersion = 3
 
 	spanKind    = "spanidx"
 	spanVersion = 1
@@ -150,22 +150,22 @@ func decodePacked(payload []byte) (*Packed, bool) {
 }
 
 // encodeConfStreams renders the load count followed by each segment's
-// length and streams.
+// length and correctness stream.
 func encodeConfStreams(cs *ConfStreams) []byte {
-	b := make([]byte, 0, 8+24*len(cs.Segments)+2*(cs.Loads()/8))
+	b := make([]byte, 0, 8+16*len(cs.Segments)+cs.Loads()/8)
 	b = disktier.AppendU32(b, uint32(cs.Loads()))
 	b = disktier.AppendU32(b, uint32(len(cs.Segments)))
 	for _, seg := range cs.Segments {
-		b = disktier.AppendU32(b, uint32(seg.Valid.Len()))
-		b = disktier.AppendU64s(b, seg.Valid.Words())
+		b = disktier.AppendU32(b, uint32(seg.Correct.Len()))
 		b = disktier.AppendU64s(b, seg.Correct.Words())
 	}
 	return b
 }
 
 // decodeConfStreams parses confidence streams, enforcing the harness
-// invariants: Correct implies Valid bit-for-bit, and the segment
-// lengths partition the load count.
+// invariants: every segment opens with its allocating load, so it is
+// non-empty and its bit 0 is clear, and the segment lengths partition
+// the load count.
 func decodeConfStreams(payload []byte) (*ConfStreams, bool) {
 	r := disktier.NewReader(payload)
 	n := int(r.U32())
@@ -177,16 +177,12 @@ func decodeConfStreams(payload []byte) (*ConfStreams, bool) {
 	total := 0
 	for i := 0; i < nseg; i++ {
 		sl := int(r.U32())
-		sv, ok := readStream(r, sl)
-		if !ok {
-			return nil, false
-		}
 		sc, ok := readStream(r, sl)
-		if !ok || !impliesBitwise(sc, sv) {
+		if !ok || sl == 0 || sc.At(0) {
 			return nil, false
 		}
 		total += sl
-		cs.Segments = append(cs.Segments, ConfSegment{Valid: sv, Correct: sc})
+		cs.Segments = append(cs.Segments, ConfSegment{Correct: sc})
 	}
 	if !r.Done() || total != n {
 		return nil, false
@@ -208,21 +204,6 @@ func readStream(r *disktier.Reader, n int) (*bitseq.Bits, bool) {
 		return nil, false
 	}
 	return bitseq.FromWords(words, n), true
-}
-
-// impliesBitwise reports whether every set bit of a is also set in b.
-// Both streams have clean padding, so the word-level check suffices.
-func impliesBitwise(a, b *bitseq.Bits) bool {
-	aw, bw := a.Words(), b.Words()
-	if len(aw) != len(bw) {
-		return false
-	}
-	for i := range aw {
-		if aw[i]&^bw[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // encodeSpanIndex renders a trace's run index: the run count, then each

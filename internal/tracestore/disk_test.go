@@ -1,11 +1,13 @@
 package tracestore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/disktier"
 	"fsmpredict/internal/workload"
 )
@@ -42,8 +44,7 @@ func confEqual(a, b *ConfStreams) bool {
 		return false
 	}
 	for i := range a.Segments {
-		if !eq(a.Segments[i].Valid, b.Segments[i].Valid) ||
-			!eq(a.Segments[i].Correct, b.Segments[i].Correct) {
+		if !eq(a.Segments[i].Correct, b.Segments[i].Correct) {
 			return false
 		}
 	}
@@ -102,16 +103,24 @@ func TestConfStreamsDiskCodecRoundTrip(t *testing.T) {
 		t.Fatal("decoded streams differ")
 	}
 
-	// A Correct bit outside Valid violates the harness invariant, in
-	// the first segment, a middle one or the last. A segment's first
-	// load is its allocation miss, so its bit 0 is never valid.
+	// Every segment opens with its allocating load, which makes no
+	// prediction: a segment whose first bit is set, in the first
+	// segment, a middle one or the last, is rejected.
 	n := len(want.Segments)
 	for _, s := range []int{0, n / 2, n - 1} {
 		evil := BuildConfStreams(lp.Generate(workload.Train, 3000), 4)
 		evil.Segments[s].Correct.Words()[0] |= 1
 		if _, ok := decodeConfStreams(encodeConfStreams(evil)); ok {
-			t.Fatalf("Correct-without-Valid in segment %d of %d accepted", s, n)
+			t.Fatalf("segment %d of %d with bit 0 set accepted", s, n)
 		}
+	}
+
+	// So is an empty segment, even when the lengths still sum to the
+	// load count.
+	empty := BuildConfStreams(lp.Generate(workload.Train, 3000), 4)
+	empty.Segments = append(empty.Segments, ConfSegment{Correct: &bitseq.Bits{}})
+	if _, ok := decodeConfStreams(encodeConfStreams(empty)); ok {
+		t.Fatal("empty segment accepted")
 	}
 
 	// Segment lengths that do not sum to the load count are rejected.
@@ -120,6 +129,31 @@ func TestConfStreamsDiskCodecRoundTrip(t *testing.T) {
 	if _, ok := decodeConfStreams(encodeConfStreams(short)); ok {
 		t.Fatal("segments not covering the load count accepted")
 	}
+}
+
+// FuzzDecodeConfStreams feeds arbitrary payloads to the confidence
+// streams decoder, as a damaged or foreign disk-tier file would: it
+// must never panic, and whatever it accepts must re-encode byte for
+// byte.
+func FuzzDecodeConfStreams(f *testing.F) {
+	lp, err := workload.LoadByName("gcc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{1, 70, 600} {
+		f.Add(encodeConfStreams(BuildConfStreams(lp.Generate(workload.Train, n), 2)))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cs, ok := decodeConfStreams(payload)
+		if !ok {
+			return
+		}
+		if got := encodeConfStreams(cs); !bytes.Equal(got, payload) {
+			t.Fatalf("accepted payload of %d bytes re-encodes to %d different bytes", len(payload), len(got))
+		}
+	})
 }
 
 // TestStoreDiskTier proves the warm-start path end to end: a store

@@ -172,10 +172,7 @@ func TestStoreBranchesMatchesGenerate(t *testing.T) {
 // TestStoreConfStreamsMatchesBuild is the same oracle for confidence
 // streams: simulated straight from the emission loop, they equal
 // BuildConfStreams over the materialized loads, segment spans included.
-// Because both share one builder, the segmentation is also checked
-// against its definition: a segment is one estimator lifetime, so its
-// first load allocates the entry (no prediction) and every later load
-// hits it. The small tables make entries change owner constantly.
+// The small tables make entries change owner constantly.
 func TestStoreConfStreamsMatchesBuild(t *testing.T) {
 	for _, prog := range workload.LoadSuite() {
 		for _, v := range []workload.Variant{workload.Train, workload.Test} {
@@ -190,9 +187,6 @@ func TestStoreConfStreamsMatchesBuild(t *testing.T) {
 						if !reflect.DeepEqual(seg.Spans, want.Segments[i].Spans) {
 							t.Fatalf("%s/%s log2=%d n=%d: segment %d spans differ", prog.Name, v, log2, n, i)
 						}
-						if seg.Valid.At(0) || seg.Valid.Ones() != seg.Valid.Len()-1 {
-							t.Fatalf("%s/%s log2=%d n=%d: segment %d valid bits %s, want one allocation then hits", prog.Name, v, log2, n, i, seg.Valid)
-						}
 					}
 				}
 			}
@@ -202,8 +196,11 @@ func TestStoreConfStreamsMatchesBuild(t *testing.T) {
 
 // TestStoreBuildAllocationBound bounds what building a trace allocates
 // beyond the trace itself: a packed branch trace at most a quarter of
-// its retained size, confidence streams at most 2 bytes per load. The
-// race detector's own allocations would count, so it is skipped there.
+// its retained size, confidence streams at most 2 bytes per load. At a
+// 4-entry table, where the loads cut into the most segments, it bounds
+// the allocations instead: a segment's one stream takes its word array
+// and its header, so about 2 per segment. The race detector's own
+// allocations would count, so it is skipped there.
 func TestStoreBuildAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under the race detector")
@@ -225,6 +222,18 @@ func TestStoreBuildAllocationBound(t *testing.T) {
 	var cs *ConfStreams
 	if alloc := allocated(func() { cs = s.ConfStreams(lp, workload.Train, n, vpred.TableLog2Default) }); alloc > uint64(2*cs.Loads()) {
 		t.Errorf("confidence streams: %d bytes allocated for %d loads, bound 2 B/load", alloc, cs.Loads())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cs = s.ConfStreams(lp, workload.Train, 120_000, 2)
+	runtime.ReadMemStats(&after)
+	perSeg := float64(after.Mallocs-before.Mallocs) / float64(len(cs.Segments))
+	t.Logf("log2=2: %d segments, %.4f allocations per segment, %.1f B/load",
+		len(cs.Segments), perSeg, float64(after.TotalAlloc-before.TotalAlloc)/float64(cs.Loads()))
+	// The build's own tables and growing slices add a few dozen
+	// allocations in all, far below 0.01 per segment.
+	if perSeg > 2.01 {
+		t.Errorf("confidence streams at log2=2: %.4f allocations per segment, bound 2", perSeg)
 	}
 }
 
