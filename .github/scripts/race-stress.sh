@@ -47,7 +47,7 @@ group "shared block-table cache" \
 	'TestBlockTableCacheConcurrent|TestRunCustomPrefixesParallelMatches|TestDoSingleflight|TestDoPanicWaitersRecompute' \
 	./internal/fsm/ ./internal/bpred/ ./internal/memo/
 group "fleet kernel sharding" \
-	'TestFleetConcurrent|TestFleetMatchesSimulatePacked|TestSearchWorkersInvariant|TestFleetDedup' \
+	'TestFleetConcurrent|TestFleetMatchesSimulatePacked|TestSearchWorkersInvariant|TestFleetDedup|TestFleetPastRowBound' \
 	./internal/fsm/ ./internal/gasearch/
 group "span kernel shared power tables + cached indexes" \
 	'TestSpanTableConcurrent|TestFleetRunSpansMatchesRun|TestStoreSpanIndexTier|TestConfSegmentSpans' \

@@ -70,13 +70,20 @@ func FromWords(words []uint64, n int) *Bits {
 	return &Bits{words: words, n: n}
 }
 
-// FromBools builds a sequence from a slice of booleans.
+// FromBools builds a sequence from a slice of booleans, packing each
+// word from its 64 booleans into a presized slice.
 func FromBools(vs []bool) *Bits {
-	b := &Bits{}
-	for _, v := range vs {
-		b.Append(v)
+	words := make([]uint64, (len(vs)+63)/64)
+	for w := range words {
+		var x uint64
+		for k, v := range vs[w<<6 : min(w<<6+64, len(vs))] {
+			if v {
+				x |= 1 << uint(k)
+			}
+		}
+		words[w] = x
 	}
-	return b
+	return &Bits{words: words, n: len(vs)}
 }
 
 // Append adds one bit to the end of the sequence.

@@ -2,6 +2,7 @@ package bitseq
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,24 @@ func TestBitsAtPanics(t *testing.T) {
 		}
 	}()
 	MustFromString("1").At(1)
+}
+
+// TestFromBoolsMatchesAppend checks the word-at-a-time packer against
+// bit-by-bit Append at the word edges and at a search trace's length.
+func TestFromBoolsMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 63, 64, 65, 512000} {
+		vs := make([]bool, n)
+		want := &Bits{}
+		for i := range vs {
+			vs[i] = rng.Intn(2) == 1
+			want.Append(vs[i])
+		}
+		got := FromBools(vs)
+		if got.Len() != n || !slices.Equal(got.Words(), want.Words()) {
+			t.Fatalf("n=%d: FromBools packs %d bits into %d words, Append %d words", n, got.Len(), len(got.Words()), len(want.Words()))
+		}
+	}
 }
 
 func TestBitsRoundTripQuick(t *testing.T) {

@@ -49,9 +49,10 @@ func startFlag(m *fsm.Machine) int {
 
 // EvaluateStreamsFleet is EvaluateStreamsMachine batched across
 // machines: the whole set replays each segment in one Fleet.ReplayGated
-// pass (structurally identical machines dedup to one walk), and the
-// segment's Accesses/Correct — the same for every machine — are
-// computed once and shared. A nil or invalid machine is an error.
+// pass (structurally identical machines dedup to one walk) that adds
+// into per-machine tallies, and Accesses/Correct — the same for every
+// machine — are summed once and shared. Allocations do not grow with
+// the segment count. A nil or invalid machine is an error.
 func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) ([]Result, error) {
 	out := make([]Result, len(machines))
 	if len(machines) == 0 {
@@ -61,20 +62,18 @@ func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) (
 	if err != nil {
 		return nil, err
 	}
-	unscored := make([]int, len(machines))
-	for i, m := range machines {
-		unscored[i] = startFlag(m)
-	}
+	flagged, flaggedCorrect := make([]int, len(machines)), make([]int, len(machines))
+	var shared Result
 	for _, seg := range cs.Segments {
 		n := seg.Correct.Len()
-		flagged, flaggedCorrect := fl.ReplayGated(seg.Correct.Words(), n, seg.Spans)
-		correct := seg.Correct.Ones()
-		for i := range out {
-			out[i].Flagged += flagged[i] - unscored[i]
-			out[i].FlaggedCorrect += flaggedCorrect[i]
-			out[i].Accesses += n - 1
-			out[i].Correct += correct
-		}
+		fl.ReplayGated(seg.Correct.Words(), n, seg.Spans, flagged, flaggedCorrect)
+		shared.Accesses += n - 1
+		shared.Correct += seg.Correct.Ones()
+	}
+	for i, m := range machines {
+		out[i] = shared
+		out[i].Flagged = flagged[i] - len(cs.Segments)*startFlag(m)
+		out[i].FlaggedCorrect = flaggedCorrect[i]
 	}
 	return out, nil
 }

@@ -218,6 +218,35 @@ func TestEvaluateStreamsMachineAllocs(t *testing.T) {
 	}
 }
 
+// TestEvaluateStreamsFleetAllocs pins the fleet replay's allocations to
+// the fleet's construction: at a four-entry table nearly every one of
+// gcc's 120k test loads opens its own segment, so anything allocated
+// per segment would show as hundreds of thousands of allocations.
+func TestEvaluateStreamsFleetAllocs(t *testing.T) {
+	p, err := workload.LoadByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := tracestore.BuildConfStreams(p.Generate(workload.Test, 120000), 2)
+	if len(cs.Segments) < 100000 {
+		t.Fatalf("%d segments: the stream no longer exercises per-segment cost", len(cs.Segments))
+	}
+	var machines []*fsm.Machine
+	for _, cfg := range counters.PaperSweep()[:6] {
+		machines = append(machines, cfg.Machine())
+	}
+	machines = append(machines, machines[0]) // a duplicate to fan out
+	const bound = 64
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := EvaluateStreamsFleet(cs, machines); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > bound {
+		t.Errorf("EvaluateStreamsFleet allocates %.0f per evaluation over %d segments, want at most %d", avg, len(cs.Segments), bound)
+	}
+}
+
 // modelCountsEqual compares two models' tallies, ignoring warm-up
 // records (the legacy trace-walking profilers do not keep them).
 func modelCountsEqual(a, b *markov.Model) bool {

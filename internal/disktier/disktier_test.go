@@ -382,7 +382,7 @@ func TestReaderRoundTrip(t *testing.T) {
 	b = AppendU32(b, 7)
 	b = AppendU64(b, 1<<40)
 	b = AppendU64s(b, []uint64{1, 2, 3})
-	b = AppendU16s(b, []uint16{9, 8})
+	b = AppendU32s(b, []uint32{9, 1<<31 | 8})
 	b = AppendI32s(b, []int32{-1, 5})
 	b = AppendBytes(b, []byte("hi"))
 	r := NewReader(b)
@@ -392,8 +392,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	if u := r.U64s(); len(u) != 3 || u[2] != 3 {
 		t.Fatal("u64s mismatch")
 	}
-	if u := r.U16s(); len(u) != 2 || u[1] != 8 {
-		t.Fatal("u16s mismatch")
+	if u := r.U32s(); len(u) != 2 || u[1] != 1<<31|8 {
+		t.Fatal("u32s mismatch")
 	}
 	if u := r.I32s(); len(u) != 2 || u[0] != -1 {
 		t.Fatal("i32s mismatch")

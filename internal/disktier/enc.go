@@ -23,11 +23,11 @@ func AppendU64s(b []byte, vs []uint64) []byte {
 	return b
 }
 
-// AppendU16s appends a count-prefixed little-endian uint16 slice.
-func AppendU16s(b []byte, vs []uint16) []byte {
+// AppendU32s appends a count-prefixed little-endian uint32 slice.
+func AppendU32s(b []byte, vs []uint32) []byte {
 	b = AppendU32(b, uint32(len(vs)))
 	for _, v := range vs {
-		b = append(b, byte(v), byte(v>>8))
+		b = AppendU32(b, v)
 	}
 	return b
 }
@@ -128,16 +128,16 @@ func (r *Reader) U64s() []uint64 {
 	return vs
 }
 
-// U16s reads a count-prefixed uint16 slice.
-func (r *Reader) U16s() []uint16 {
+// U32s reads a count-prefixed uint32 slice.
+func (r *Reader) U32s() []uint32 {
 	n := r.count()
-	b := r.take(2 * n)
+	b := r.take(4 * n)
 	if b == nil {
 		return nil
 	}
-	vs := make([]uint16, n)
+	vs := make([]uint32, n)
 	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint16(b[2*i:])
+		vs[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return vs
 }

@@ -2,6 +2,7 @@ package fsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsmpredict/internal/bitseq"
 )
@@ -13,20 +14,21 @@ import (
 // state it lands in — is a pure function of the state it entered the
 // block in. A BlockTable tabulates that function once per machine
 // (NumStates × 256 entries) so simulation consumes the stream a byte
-// per lookup instead of a bit per branch, and a byte's mispredictions
-// reduce to one XOR and one popcount against the table's prediction
-// mask. The scalar Machine.SimulateScalar/RunSampledScalar walks remain
-// as the references; the table is built by composing the machine's own
+// per lookup instead of a bit per branch, and each entry carries the
+// byte's miss count and miss mask beside the next state's row, so a
+// byte's mispredictions cost one mask and one add. The scalar
+// Machine.SimulateScalar/RunSampledScalar walks remain as the
+// references; the table is built by composing the machine's own
 // 2-symbol table, never by re-deriving behaviour, so every walk over it
 // is bit-identical to them.
 
 // blockShift is the log2 of the block width: kernels consume the input
 // 8 events at a time. Eight is the sweet spot — the table for an
-// S-state machine is S*256 uint16s (a 2-bit counter costs 2 KiB, the
-// largest machine the flow emits well under a mebibyte), entries pack
-// next-state and prediction mask into one uint16, and byte extraction
-// from a packed word stream never crosses a word boundary at aligned
-// offsets.
+// S-state machine is S*256 uint32s (a 2-bit counter costs 4 KiB, a
+// machine at the 256-state bound 256 KiB), one entry packs
+// the next state's row with the byte's 8-bit miss mask and its count
+// (walk.go), and byte extraction from a packed word stream never
+// crosses a word boundary at aligned offsets.
 const blockShift = 8
 
 // maxBlockStates bounds the machines a BlockTable can represent:
@@ -52,7 +54,7 @@ type BlockTable struct {
 // and outputs as a one-slot layout with its (lazily grown) span power
 // tables — the one constructor behind CompileBlockTable and the disk
 // decoder.
-func newBlockTable(tab []uint16, step, out []uint8, start uint8, src *Machine) *BlockTable {
+func newBlockTable(tab []uint32, step, out []uint8, start uint8, src *Machine) *BlockTable {
 	return &BlockTable{
 		layout: layout{
 			tab:   tab,
@@ -92,7 +94,9 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	// OR-ing the prediction masks. Bit j of a mask is the prediction
 	// made before event j, so the byte entry replays 8 events exactly as
 	// the scalar walk would. A nibble entry packs next-state in the low
-	// byte and the 4-bit mask above it, like tab's own entries.
+	// byte and the 4-bit prediction mask above it; the byte entry turns
+	// the 8-bit prediction mask into the miss mask and count against the
+	// byte itself.
 	const nibble = blockShift / 2
 	nib := make([]uint16, n<<nibble)
 	for s := 0; s < n; s++ {
@@ -105,13 +109,15 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 			nib[s<<nibble|v] = uint16(st) | mask<<8
 		}
 	}
-	tab := make([]uint16, n<<blockShift)
+	tab := make([]uint32, n<<blockShift)
 	for s := 0; s < n; s++ {
-		row := (*[1 << blockShift]uint16)(tab[s<<blockShift:])
+		row := (*[1 << blockShift]uint32)(tab[s<<blockShift:])
 		for lo, e := range nib[s<<nibble : (s+1)<<nibble] {
-			mid, loMask := int(e&0xff), e&^0xff
+			mid, loMask := int(e&0xff), e>>8
 			for hi, h := range (*[1 << nibble]uint16)(nib[mid<<nibble:]) {
-				row[uint8(hi<<nibble|lo)] = h&0xff | (h&^0xff)<<nibble | loMask
+				v := uint8(hi<<nibble | lo)
+				miss := uint8(h>>8<<nibble|loMask) ^ v
+				row[v] = uint32(miss)<<entryMask | uint32(h&0xff)<<blockShift | uint32(bits.OnesCount8(miss))
 			}
 		}
 	}
@@ -133,7 +139,7 @@ func (t *BlockTable) Machine() *Machine { return t.src }
 func (t *BlockTable) Bytes() uint64 {
 	n := uint64(t.NumStates())
 	machine := n * (1 + 16) // Output bools + Next pairs of the src clone
-	return 2*(n<<blockShift) + 3*n + machine
+	return 4*(n<<blockShift) + 3*n + machine
 }
 
 // compiledFrom reports whether the table was compiled from a machine

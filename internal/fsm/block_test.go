@@ -123,10 +123,44 @@ func TestSimulateUsesBlockKernel(t *testing.T) {
 			t.Fatalf("fleet member %d: RunSampled %d misses, scalar %d", j, miss, want)
 		}
 	}
-	flagged, flaggedCorrect := f.ReplayGated(words, n, runs)
+	// ReplayGated adds into its tallies: two passes count twice.
+	flagged, flaggedCorrect := make([]int, len(members)), make([]int, len(members))
+	f.ReplayGated(words, n, runs, flagged, flaggedCorrect)
+	f.ReplayGated(words, n, runs, flagged, flaggedCorrect)
 	for j := range members {
-		if flagged[j] != wantFlag || flaggedCorrect[j] != wantFlagCorrect {
+		if flagged[j] != 2*wantFlag || flaggedCorrect[j] != 2*wantFlagCorrect {
 			t.Fatalf("fleet member %d: ReplayGated (%d, %d), scalar (%d, %d)", j, flagged[j], flaggedCorrect[j], wantFlag, wantFlagCorrect)
+		}
+	}
+}
+
+// TestClosureEntryEncoding is the closure table's closed-form oracle,
+// no other kernel involved: for random machines of 1 to 256 states,
+// the entry of every (state, byte) must be missMask<<24 | exit<<8 |
+// misses, where exit, the miss mask and the miss count come from eight
+// steps of the machine's 2-symbol step/out rows.
+func TestClosureEntryEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 2, 1 + rng.Intn(16), 1 + rng.Intn(64), 1 + rng.Intn(256), maxBlockStates} {
+		tab, err := CompileBlockTable(randomMachine(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < n; s++ {
+			for v := 0; v < 1<<blockShift; v++ {
+				st, mask, misses := s, uint32(0), uint32(0)
+				for j := 0; j < blockShift; j++ {
+					b := v >> j & 1
+					if int(tab.out[st]) != b {
+						mask |= 1 << j
+						misses++
+					}
+					st = int(tab.step[st<<1|b])
+				}
+				if got, want := tab.tab[s<<blockShift|v], mask<<24|uint32(st)<<8|misses; got != want {
+					t.Fatalf("%d states: entry (%d, %#02x) = %#08x, want %#08x", n, s, v, got, want)
+				}
+			}
 		}
 	}
 }

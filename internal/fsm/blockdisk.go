@@ -2,6 +2,7 @@ package fsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsmpredict/internal/disktier"
 )
@@ -21,7 +22,7 @@ const blockTableKind = "blocktable"
 
 // blockTableVersion is the artifact format version; bump on any layout
 // change and stale files recompute cleanly.
-const blockTableVersion = 1
+const blockTableVersion = 2
 
 // SetDiskTier attaches a disk store beneath the process-wide block-
 // table cache (nil detaches). Intended to be called once at startup by
@@ -60,12 +61,12 @@ func diskKey(h uint64) string { return fmt.Sprintf("%016x", h) }
 // separate machine encoding is needed.
 func encodeBlockTable(t *BlockTable) []byte {
 	n := t.NumStates()
-	b := make([]byte, 0, 8+3*n+2*len(t.tab))
+	b := make([]byte, 0, 8+3*n+4*len(t.tab))
 	b = disktier.AppendU32(b, uint32(n))
 	b = append(b, t.start[0])
 	b = disktier.AppendBytes(b, t.out)
 	b = disktier.AppendBytes(b, t.step)
-	b = disktier.AppendU16s(b, t.tab)
+	b = disktier.AppendU32s(b, t.tab)
 	return b
 }
 
@@ -78,7 +79,7 @@ func decodeBlockTable(payload []byte) (*BlockTable, bool) {
 	start := r.U8()
 	out := r.Bytes()
 	step := r.Bytes()
-	tab := r.U16s()
+	tab := r.U32s()
 	if !r.Done() || n <= 0 || n > maxBlockStates ||
 		len(out) != n || len(step) != 2*n || len(tab) != n<<blockShift || int(start) >= n {
 		return nil, false
@@ -95,11 +96,12 @@ func decodeBlockTable(payload []byte) (*BlockTable, bool) {
 		m.Output[s] = out[s] == 1
 		m.Next[s] = [2]int{int(step[s<<1]), int(step[s<<1|1])}
 	}
-	// A closure entry's exit state must be a state of this machine: in
-	// a fleet, an out-of-range exit would index another slot's rows and
-	// turn into silently wrong bits rather than a miss.
+	// A closure entry's exit state must be a state of this machine (in
+	// a fleet, an out-of-range exit would index another slot's rows) and
+	// its miss count must be its mask's, or a bad entry would turn into
+	// silently wrong bits rather than a miss.
 	for _, e := range tab {
-		if int(uint8(e)) >= n {
+		if int((e&entryRow)>>blockShift) >= n || int(e&entryCount) != bits.OnesCount32(e>>entryMask) {
 			return nil, false
 		}
 	}

@@ -61,14 +61,70 @@ func TestBlockTableDecodeRejectsMalformed(t *testing.T) {
 	if _, ok := decodeBlockTable(evil); ok {
 		t.Fatal("out-of-range successor accepted")
 	}
-	// So must a closure entry whose exit state is out of range: the
-	// table occupies the payload's tail, two bytes per entry, exit
-	// state in the low byte.
-	evil = append([]byte(nil), good...)
-	evil[len(evil)-2*(5<<blockShift)] = 5 // exit state 5 in a 5-state machine
-	if _, ok := decodeBlockTable(evil); ok {
-		t.Fatal("out-of-range closure exit state accepted")
+	// So must a closure entry whose exit state is out of range, or whose
+	// miss count is not its mask's: the table occupies the payload's
+	// tail, four little-endian bytes per entry — count, exit state's
+	// low and high byte, miss mask.
+	first := len(good) - 4*(5<<blockShift)
+	for what, entry := range map[string][4]byte{
+		"":           {0, 4, 0, 0}, // exit state 4, no misses: well-formed
+		"exit state": {0, 5, 0, 0}, // exit state 5 in a 5-state machine
+		"miss count": {5, 0, 0, 0}, // five misses over an empty mask
+	} {
+		evil = append([]byte(nil), good...)
+		copy(evil[first:], entry[:])
+		if _, ok := decodeBlockTable(evil); ok != (what == "") {
+			t.Fatalf("closure entry %v (bad %q): decoded %v", entry, what, ok)
+		}
 	}
+}
+
+// TestBlockTableDiskTierStaleVersion: an artifact written in the
+// previous format (uint16 entries, blockTableVersion 1) must read as a
+// plain miss, not as corruption, and the table must be recompiled and
+// rewritten in the current format.
+func TestBlockTableDiskTierStaleVersion(t *testing.T) {
+	store, err := disktier.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetDiskTier(store)
+	defer SetDiskTier(nil)
+	ResetBlockCache()
+
+	m := randomMachine(rand.New(rand.NewSource(12)), 9)
+	n := m.NumStates()
+	// The version-1 payload: state count, start, outputs, step rows and
+	// a count-prefixed table of little-endian uint16 entries.
+	old := disktier.AppendU32(nil, uint32(n))
+	old = append(old, uint8(m.Start))
+	tab, err := CompileBlockTable(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old = disktier.AppendBytes(old, tab.out)
+	old = disktier.AppendBytes(old, tab.step)
+	old = disktier.AppendU32(old, uint32(n<<blockShift))
+	old = append(old, make([]byte, 2*n<<blockShift)...)
+	store.Put(blockTableKind, 1, diskKey(m.blockHash()), old)
+
+	before, beforeStore := BlockStats(), store.Stats()
+	got := BlockTableFor(m)
+	after, afterStore := BlockStats(), store.Stats()
+	if after.TierHits != before.TierHits || after.Misses != before.Misses+1 {
+		t.Fatalf("tier hits %d -> %d, misses %d -> %d: want a recompile", before.TierHits, after.TierHits, before.Misses, after.Misses)
+	}
+	if afterStore.Corrupt != beforeStore.Corrupt || afterStore.Misses != beforeStore.Misses+1 {
+		t.Fatalf("store corrupt %d -> %d, misses %d -> %d: want one plain miss", beforeStore.Corrupt, afterStore.Corrupt, beforeStore.Misses, afterStore.Misses)
+	}
+	if !reflect.DeepEqual(got.tab, tab.tab) {
+		t.Fatal("recompiled table differs from a fresh compile")
+	}
+	blob, ok := store.Get(blockTableKind, blockTableVersion, diskKey(m.blockHash()))
+	if !ok {
+		t.Fatal("recompiled table was not written back in the current format")
+	}
+	blob.Close()
 }
 
 // TestBlockTableDiskTier proves the full tier path: a cold in-process

@@ -12,9 +12,8 @@ import (
 // pass — the GA search over machine encodings, Figure 4's synthesis
 // batch and Figure 2's per-history threshold curves. A fleet is the
 // engine's layout (walk.go) over any number of slots, plus the machines
-// over the block-table bound (walked by their scalar references
-// alongside the packed slots), plus two things a single table does not
-// need:
+// it cannot pack (walked through their Machine methods alongside the
+// packed slots), plus two things a single table does not need:
 //
 //   - Structural dedup. Identical machines inside a fleet (converged
 //     GA populations, repeated threshold designs) are detected by
@@ -38,22 +37,33 @@ type Fleet struct {
 	// iff machines i and j are structurally identical. Members below
 	// slots() are packed slots; member slots()+k is big[k].
 	idx []int32
-	// nuniq is the number of real unique packed machines; slots beyond
-	// it are lane padding (copies of the last unique table) that round
-	// the packed slot count up to an eight-lane group so the whole pass
-	// runs in the wide spanOct loop. No idx entry maps to a padding slot.
-	nuniq int
-	// big holds the unique machines over the block-table bound, which
-	// walk through the Machine methods (the scalar references).
+	// big holds the unique machines the layout cannot pack, which walk
+	// through the Machine methods: those over the block-table bound
+	// (the scalar references), and those that would take the packed
+	// states past maxPackedStates (their own one-slot tables).
 	big []*Machine
+	// first[u] is member u's first input and next[i] the input after i
+	// with i's member (-1 after the last): the per-member fan-out that
+	// lets ReplayGated add into its caller's per-input tallies without
+	// scratch. first is -1 for lane padding: packed slots past the real
+	// ones, copies of the last table that round the slot count up to an
+	// eight-lane group so the whole pass runs in the wide spanOct loop.
+	first, next []int32
 }
+
+// maxPackedStates bounds a fleet's packed states so that lane padding
+// (at most five more copies of a block table) keeps the layout within
+// its closure entries' row field. Members past it join big — only a
+// fleet of more than 251 distinct machines of 256 states gets there.
+const maxPackedStates = maxLayoutStates - 5*maxBlockStates
 
 // NewFleet compiles a fleet from machines. Every machine must be
 // non-nil and valid; otherwise an error names the offending index.
 // Machines within the block-table bound are packed through the shared
 // block-table cache, so recurring machines (GA elites, repeated batch
-// requests) cost one table build process-wide; larger ones ride along
-// on the scalar walks, with the same results and dedup.
+// requests) cost one table build process-wide; larger ones (and any past
+// maxPackedStates) ride along on their Machine walks, with the same
+// results and dedup.
 func NewFleet(machines []*Machine) (*Fleet, error) {
 	tabs := make([]*BlockTable, len(machines))
 	for i, m := range machines {
@@ -82,8 +92,8 @@ func FleetOfTables(tabs []*BlockTable) *Fleet {
 
 // packFleet builds the fleet of machines, where tabs[i] is machine i's
 // block table or nil over the bound. Structurally identical machines
-// collapse into one member, and a fleet of one distinct table reuses
-// that table's arrays.
+// collapse into one member, distinct tables pack until maxPackedStates,
+// and a fleet of one distinct table reuses that table's arrays.
 func packFleet(machines []*Machine, tabs []*BlockTable) *Fleet {
 	f := &Fleet{idx: make([]int32, len(machines))}
 	// Dedup by content hash, verified structurally so a collision can
@@ -91,6 +101,7 @@ func packFleet(machines []*Machine, tabs []*BlockTable) *Fleet {
 	// provisional ids ^k until the packed slot count is known.
 	seen := make(map[uint64][]int32, len(machines))
 	var uniq []*BlockTable
+	packed := 0
 	src := func(u int32) *Machine {
 		if u < 0 {
 			return f.big[^u]
@@ -107,9 +118,10 @@ func packFleet(machines []*Machine, tabs []*BlockTable) *Fleet {
 			}
 		}
 		if !found {
-			if tabs[i] != nil {
+			if t := tabs[i]; t != nil && packed+t.NumStates() <= maxPackedStates {
 				u = int32(len(uniq))
-				uniq = append(uniq, tabs[i])
+				uniq = append(uniq, t)
+				packed += t.NumStates()
 			} else {
 				u = ^int32(len(f.big))
 				f.big = append(f.big, m)
@@ -118,12 +130,17 @@ func packFleet(machines []*Machine, tabs []*BlockTable) *Fleet {
 		}
 		f.idx[i] = u
 	}
-	f.nuniq = len(uniq)
 	f.layout = packLayout(uniq)
-	for i, u := range f.idx {
-		if u < 0 {
-			f.idx[i] = int32(f.slots()) + ^u
+	f.first = make([]int32, f.slots()+len(f.big))
+	f.next = make([]int32, len(f.idx))
+	for u := range f.first {
+		f.first[u] = -1
+	}
+	for i := len(f.idx) - 1; i >= 0; i-- {
+		if f.idx[i] < 0 {
+			f.idx[i] = int32(f.slots()) + ^f.idx[i]
 		}
+		f.next[i], f.first[f.idx[i]] = f.first[f.idx[i]], int32(i)
 	}
 	return f
 }
@@ -153,14 +170,20 @@ func packLayout(uniq []*BlockTable) layout {
 		total += t.NumStates()
 		l.off[u+1] = uint32(total)
 	}
-	l.tab = make([]uint16, total<<blockShift)
+	l.tab = make([]uint32, total<<blockShift)
 	l.step = make([]uint8, total<<1)
 	l.out = make([]uint8, total)
 	l.start = make([]uint8, len(uniq))
 	l.spans = make([]*SpanTable, len(uniq))
 	for u, t := range uniq {
-		o := int(l.off[u])
-		copy(l.tab[o<<blockShift:], t.tab)
+		// The slot's entries move to absolute rows: the row field is
+		// the exit state shifted by blockShift, so they rebase by
+		// off[u]<<blockShift.
+		o := l.off[u]
+		rows := l.tab[o<<blockShift:]
+		for k, e := range t.tab {
+			rows[k] = e + o<<blockShift
+		}
 		copy(l.step[o<<1:], t.step)
 		copy(l.out[o:], t.out)
 		l.start[u] = t.start[0]
@@ -223,7 +246,7 @@ func (f *Fleet) chunks() [][2]int32 {
 	var out [][2]int32
 	lo, bytes := 0, 0
 	for u := 0; u < nu; u++ {
-		sz := int(f.off[u+1]-f.off[u]) << (blockShift + 1)
+		sz := int(f.off[u+1]-f.off[u]) << (blockShift + 2)
 		if u > lo && (u-lo)&7 == 0 && bytes+sz > fleetChunkBytes {
 			out = append(out, [2]int32{int32(lo), int32(u)})
 			lo, bytes = u, 0
@@ -265,26 +288,30 @@ func (f *Fleet) RunSampled(words []uint64, n int, pos [][]int32) []int {
 // stream from its start state, and positions where the machine predicts
 // confident count toward its flagged / flaggedCorrect tallies —
 // Machine.ReplayGated for N machines, with structurally identical
-// machines walked once and fanned out. runs is an optional run index
-// over the stream. n beyond the words' capacity is clamped.
-func (f *Fleet) ReplayGated(correct []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect []int) {
+// machines walked once and fanned out. It ADDS input i's tallies into
+// flagged[i] and flaggedCorrect[i] (each as long as the input), so a
+// caller summing over many streams allocates nothing per call. runs is
+// an optional run index over the stream. n beyond the words' capacity
+// is clamped.
+func (f *Fleet) ReplayGated(correct []uint64, n int, runs []bitseq.Run, flagged, flaggedCorrect []int) {
 	n, _ = clampSpan(correct, n, 0)
 	nb := f.slots()
-	uf := make([]int, nb+len(f.big))
-	ufc := make([]int, nb+len(f.big))
 	var tally spanTally
-	for u := 0; u < f.nuniq; u++ {
-		ln := f.lane(u)
-		uf[u], ufc[u] = ln.gated(f.start[u], correct, n, runs, &tally)
+	for u, i := range f.first {
+		if i < 0 {
+			continue
+		}
+		var fl, fc int
+		if u < nb {
+			ln := f.lane(u)
+			fl, fc = ln.gated(f.start[u], correct, n, runs, &tally)
+		} else {
+			fl, fc = f.big[u-nb].ReplayGated(correct, n, runs)
+		}
+		for ; i >= 0; i = f.next[i] {
+			flagged[i] += fl
+			flaggedCorrect[i] += fc
+		}
 	}
 	tally.flush()
-	for k, m := range f.big {
-		uf[nb+k], ufc[nb+k] = m.ReplayGated(correct, n, runs)
-	}
-	flagged = make([]int, len(f.idx))
-	flaggedCorrect = make([]int, len(f.idx))
-	for i, u := range f.idx {
-		flagged[i], flaggedCorrect[i] = uf[u], ufc[u]
-	}
-	return flagged, flaggedCorrect
 }

@@ -43,7 +43,15 @@ func TestFleetDedup(t *testing.T) {
 
 // unique returns the number of structurally distinct machines in a
 // fleet: the walks whose results a pass actually uses.
-func unique(f *Fleet) int { return f.nuniq + len(f.big) }
+func unique(f *Fleet) int {
+	n := 0
+	for _, i := range f.first {
+		if i >= 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // TestFleetEmpty covers the zero-machine and zero-trace edges.
 func TestFleetEmpty(t *testing.T) {
@@ -81,6 +89,56 @@ func TestFleetRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestFleetPastRowBound: a fleet of more distinct 256-state machines
+// than a closure entry's 16-bit row field can address packs tables
+// while they fit maxPackedStates — lane padding then fills the layout
+// to exactly maxLayoutStates — and walks the rest through their Machine
+// methods. Every mode must still match the scalar references.
+func TestFleetPastRowBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const width = maxLayoutStates/maxBlockStates + 4
+	const packed = maxPackedStates / maxBlockStates
+	machines := make([]*Machine, width)
+	tabs := make([]*BlockTable, width)
+	for j := range tabs {
+		machines[j] = randomMachine(rng, maxBlockStates)
+		var err error
+		if tabs[j], err = CompileBlockTable(machines[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := FleetOfTables(tabs)
+	tabs = nil // the fleet holds its own copy of the packed rows
+	if n := unique(f) - len(f.big); n != packed || len(f.big) != width-packed || f.off[f.slots()] != maxLayoutStates {
+		t.Fatalf("packed %d (%d states) with %d walked apart, want %d (%d) and %d",
+			n, f.off[f.slots()], len(f.big), packed, maxLayoutStates, width-packed)
+	}
+	bits := runnyBits(rng, 3001, 0.8, 40)
+	words, n := bits.Words(), bits.Len()
+	runs := spanIndexOf(bits)
+	pos := make([][]int32, width)
+	for j := range pos {
+		for i := j % 5; i < n; i += 1 + j%7 {
+			pos[j] = append(pos[j], int32(i))
+		}
+	}
+	got := f.RunParallelSpans(2, words, n, 11, runs)
+	misses := f.RunSampled(words, n, pos)
+	flagged, flaggedCorrect := make([]int, width), make([]int, width)
+	f.ReplayGated(words, n, runs, flagged, flaggedCorrect)
+	for j, m := range machines {
+		if want := m.SimulateScalar(bits.Bools(), 11); got[j] != want {
+			t.Fatalf("machine %d: fleet %+v, scalar %+v", j, got[j], want)
+		}
+		if want, _ := m.RunSampledScalar(m.Start, words, n, pos[j]); misses[j] != want {
+			t.Fatalf("machine %d: fleet sampled %d misses, scalar %d", j, misses[j], want)
+		}
+		if wf, wfc := m.gatedScalar(words, n); flagged[j] != wf || flaggedCorrect[j] != wfc {
+			t.Fatalf("machine %d: fleet gated (%d, %d), scalar (%d, %d)", j, flagged[j], flaggedCorrect[j], wf, wfc)
+		}
+	}
+}
+
 // TestPackedEntryPointsClampOverlongN is the bounds-guard regression:
 // every packed entry point must clamp an event count beyond the words'
 // capacity instead of reading out of range, and the clamped run must
@@ -111,7 +169,8 @@ func TestPackedEntryPointsClampOverlongN(t *testing.T) {
 		if f, fc := tab.ReplayGated(words, over, r); f != wf || fc != wfc {
 			t.Fatalf("ReplayGated over-long: (%d,%d), want (%d,%d)", f, fc, wf, wfc)
 		}
-		if f, fc := fl.ReplayGated(words, over, r); f[1] != wf || fc[1] != wfc {
+		f, fc := make([]int, 2), make([]int, 2)
+		if fl.ReplayGated(words, over, r, f, fc); f[1] != wf || fc[1] != wfc {
 			t.Fatalf("Fleet.ReplayGated over-long: (%d,%d), want (%d,%d)", f[1], fc[1], wf, wfc)
 		}
 		if f, fc := tab.ReplayGated(words, -5, r); f != 0 || fc != 0 {

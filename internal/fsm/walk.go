@@ -37,12 +37,15 @@ const fleetSegEvents = 1 << 15
 type layout struct {
 	// tab is the concatenated closure table of the slots: slot u owns
 	// absolute states [off[u], off[u+1]), and the entry for absolute
-	// state g = off[u]+s on byte v is tab[g<<blockShift|v]. Its low byte
-	// is the slot-local exit state; its high byte is the prediction mask,
-	// bit i holding the output of the state occupied when event i of the
-	// block was predicted (earliest event in bit 0, matching bitseq's
-	// packing). A byte's mispredictions are popcount(mask XOR outcomes).
-	tab []uint16
+	// state g = off[u]+s on byte v is tab[g<<blockShift|v]. An entry is
+	// missMask<<entryMask | g'<<blockShift | popcount(missMask): g' is
+	// the ABSOLUTE exit state, so e&entryRow indexes the next lookup
+	// directly, and bit i of the miss mask is set when the prediction
+	// made before event i of the block (earliest event in bit 0,
+	// matching bitseq's packing) differs from that event. The full mode
+	// reads the count, the sampled mode the mask, and the gated mode the
+	// prediction mask missMask XOR v.
+	tab []uint32
 	// step[g<<1|b] is the plain 2-symbol transition (slot-local) and
 	// out[g] state g's prediction bit, for the ragged sub-byte phases.
 	step []uint8
@@ -56,28 +59,39 @@ type layout struct {
 	spans []*SpanTable
 }
 
+// The closure entry's fields (layout.tab), and the most absolute
+// states a layout can hold: the row field is 16 bits of state.
+const (
+	entryCount      = 0xff
+	entryRow        = 0xffff00
+	entryMask       = 24
+	maxLayoutStates = entryRow>>blockShift + 1
+)
+
 // slots returns the packed slot count.
 func (l *layout) slots() int { return len(l.off) - 1 }
 
-// lane is one slot's slot-local view of the layout: the one-lane
-// walkers index it with slot-local states, which keeps their serial
-// table-load chain one add shorter than absolute indexing.
+// lane is one slot's view of the layout for the one-lane walkers. Its
+// byte loops chain the layout's absolute closure rows exactly as
+// spanOct does; the 2-symbol rows and the span tables are slot-local,
+// so states convert (row, local) only where a byte loop starts or ends.
 type lane struct {
-	tab  []uint16
+	tab  []uint32 // the whole layout's closure table
+	base uint32   // the slot's first absolute state
 	step []uint8
 	out  []uint8
 	span *SpanTable
 }
 
 func (l *layout) lane(u int) lane {
-	lo, hi := int(l.off[u]), int(l.off[u+1])
-	return lane{
-		tab:  l.tab[lo<<blockShift : hi<<blockShift],
-		step: l.step[lo<<1 : hi<<1],
-		out:  l.out[lo:hi],
-		span: l.spans[u],
-	}
+	lo, hi := l.off[u], l.off[u+1]
+	return lane{tab: l.tab, base: lo, step: l.step[lo<<1 : hi<<1], out: l.out[lo:hi], span: l.spans[u]}
 }
+
+// row returns slot-local state s's absolute closure row; local is its
+// inverse.
+func (ln *lane) row(s uint8) uint32   { return (ln.base + uint32(s)) << blockShift }
+func (ln *lane) local(g uint32) uint8 { return uint8(g>>blockShift - ln.base) }
 
 // nextRun moves the cursor r past the runs ending at or before i and
 // returns the next run clipped to [i, end&^7). When no run remains in
@@ -182,12 +196,13 @@ func (ln *lane) bytes(s uint8, words []uint64, i, end int, runs []bitseq.Run, r 
 	correct := end - i
 	for i < end {
 		rs, re := nextRun(runs, r, i, end)
+		g := ln.row(s)
 		for ; i < rs; i += 8 {
-			b := uint8(words[i>>6] >> uint(i&63))
-			e := tab[int(s)<<blockShift|int(b)]
-			miss += bits.OnesCount8(uint8(e>>8) ^ b)
-			s = uint8(e)
+			e := tab[g|uint32(uint8(words[i>>6]>>uint(i&63)))]
+			miss += int(e & entryCount)
+			g = e & entryRow
 		}
+		s = ln.local(g)
 		if i < re {
 			var m int
 			s, m = ln.span.walk(s, (re-i)>>3, runBit(runs[*r]))
@@ -219,35 +234,27 @@ func (ln *lane) scalar(s uint8, words []uint64, i, j int) (uint8, int) {
 // chosen whenever eight slots remain. Eight independent transition
 // chains share each trace byte, so the out-of-order core overlaps their
 // table-load latencies (one chain is serially dependent: each lookup's
-// index needs the previous lookup's result), and absolute state
-// indexing keeps the loop on one slice and eight integers. Each lane
-// runs exactly lane.full's event sequence.
+// index needs the previous lookup's result). Entries name absolute
+// rows, so a lane's whole step is e := tab[g|b]; misses += e&entryCount;
+// g = e&entryRow — one load and three ALU ops per lane per byte, with
+// slot-local states converted only at the walk's edges. Each lane runs
+// exactly lane.full's event sequence.
 func (l *layout) spanOct(u int, words []uint64, lo, hi, scoreFrom int, states []uint8, correct []int, tally *spanTally) {
 	tab := l.tab
-	o0, o1, o2, o3 := int(l.off[u]), int(l.off[u+1]), int(l.off[u+2]), int(l.off[u+3])
-	o4, o5, o6, o7 := int(l.off[u+4]), int(l.off[u+5]), int(l.off[u+6]), int(l.off[u+7])
-	g0, g1, g2, g3 := o0+int(states[u]), o1+int(states[u+1]), o2+int(states[u+2]), o3+int(states[u+3])
-	g4, g5, g6, g7 := o4+int(states[u+4]), o5+int(states[u+5]), o6+int(states[u+6]), o7+int(states[u+7])
-	var c0, c1, c2, c3, c4, c5, c6, c7 int
+	g0, g1, g2, g3, g4, g5, g6, g7 := l.octRows(u, states)
 	scoreFrom = min(max(scoreFrom, lo), hi)
 	i := lo
 	for ; i+8 <= scoreFrom; i += 8 {
-		b := int(uint8(words[i>>6] >> uint(i&63)))
-		g0 = o0 + int(uint8(tab[g0<<blockShift|b]))
-		g1 = o1 + int(uint8(tab[g1<<blockShift|b]))
-		g2 = o2 + int(uint8(tab[g2<<blockShift|b]))
-		g3 = o3 + int(uint8(tab[g3<<blockShift|b]))
-		g4 = o4 + int(uint8(tab[g4<<blockShift|b]))
-		g5 = o5 + int(uint8(tab[g5<<blockShift|b]))
-		g6 = o6 + int(uint8(tab[g6<<blockShift|b]))
-		g7 = o7 + int(uint8(tab[g7<<blockShift|b]))
+		b := uint32(uint8(words[i>>6] >> uint(i&63)))
+		g0, g1, g2, g3 = tab[g0|b]&entryRow, tab[g1|b]&entryRow, tab[g2|b]&entryRow, tab[g3|b]&entryRow
+		g4, g5, g6, g7 = tab[g4|b]&entryRow, tab[g5|b]&entryRow, tab[g6|b]&entryRow, tab[g7|b]&entryRow
 	}
 	if i < scoreFrom {
 		// Ragged warm-up (at most seven events): route each lane
 		// through the one-lane walker up to the next byte boundary,
 		// then resume the wide loop.
 		head := min((scoreFrom+7)&^7, hi)
-		writeOctStates(states, l.off, u, g0, g1, g2, g3, g4, g5, g6, g7)
+		l.writeOctStates(u, states, g0, g1, g2, g3, g4, g5, g6, g7)
 		for k := 0; k < 8; k++ {
 			l.fullLane(u+k, words, i, head, scoreFrom, nil, states, correct, tally)
 		}
@@ -255,93 +262,42 @@ func (l *layout) spanOct(u int, words []uint64, lo, hi, scoreFrom int, states []
 			return
 		}
 		i = head
-		g0, g1, g2, g3 = o0+int(states[u]), o1+int(states[u+1]), o2+int(states[u+2]), o3+int(states[u+3])
-		g4, g5, g6, g7 = o4+int(states[u+4]), o5+int(states[u+5]), o6+int(states[u+6]), o7+int(states[u+7])
+		g0, g1, g2, g3, g4, g5, g6, g7 = l.octRows(u, states)
 	}
-	// Scored body: count MISSES (xor-popcount per lane) and convert to
-	// correct counts once at the end — one fewer arithmetic op per lane
-	// per byte. Trace bytes come from shifting a word-local register,
-	// one word load per 64 events.
-	scored := 0
-	for ; i+8 <= hi && i&63 != 0; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		e0 := tab[g0<<blockShift|int(b)]
-		e1 := tab[g1<<blockShift|int(b)]
-		e2 := tab[g2<<blockShift|int(b)]
-		e3 := tab[g3<<blockShift|int(b)]
-		e4 := tab[g4<<blockShift|int(b)]
-		e5 := tab[g5<<blockShift|int(b)]
-		e6 := tab[g6<<blockShift|int(b)]
-		e7 := tab[g7<<blockShift|int(b)]
-		c0 += bits.OnesCount8(uint8(e0>>8) ^ b)
-		c1 += bits.OnesCount8(uint8(e1>>8) ^ b)
-		c2 += bits.OnesCount8(uint8(e2>>8) ^ b)
-		c3 += bits.OnesCount8(uint8(e3>>8) ^ b)
-		c4 += bits.OnesCount8(uint8(e4>>8) ^ b)
-		c5 += bits.OnesCount8(uint8(e5>>8) ^ b)
-		c6 += bits.OnesCount8(uint8(e6>>8) ^ b)
-		c7 += bits.OnesCount8(uint8(e7>>8) ^ b)
-		g0, g1, g2, g3 = o0+int(uint8(e0)), o1+int(uint8(e1)), o2+int(uint8(e2)), o3+int(uint8(e3))
-		g4, g5, g6, g7 = o4+int(uint8(e4)), o5+int(uint8(e5)), o6+int(uint8(e6)), o7+int(uint8(e7))
-		scored += 8
-	}
-	for ; i+64 <= hi; i += 64 {
-		w := words[i>>6]
-		for k := 0; k < 8; k++ {
-			b := uint8(w)
+	// Scored body: sum each lane's MISS counts and convert to correct
+	// counts once at the end (walkFull's calls span at most one
+	// fleetSegEvents tile, so uint32 counts cannot wrap). Each trace word
+	// is loaded once and its whole bytes shifted out of a register.
+	var c0, c1, c2, c3, c4, c5, c6, c7 uint32
+	body := i
+	for i+8 <= hi {
+		w := words[i>>6] >> uint(i&63)
+		k := min(64-i&63, hi-i) >> 3
+		for i += k << 3; k > 0; k-- {
+			b := uint32(uint8(w))
 			w >>= 8
-			e0 := tab[g0<<blockShift|int(b)]
-			e1 := tab[g1<<blockShift|int(b)]
-			e2 := tab[g2<<blockShift|int(b)]
-			e3 := tab[g3<<blockShift|int(b)]
-			e4 := tab[g4<<blockShift|int(b)]
-			e5 := tab[g5<<blockShift|int(b)]
-			e6 := tab[g6<<blockShift|int(b)]
-			e7 := tab[g7<<blockShift|int(b)]
-			c0 += bits.OnesCount8(uint8(e0>>8) ^ b)
-			c1 += bits.OnesCount8(uint8(e1>>8) ^ b)
-			c2 += bits.OnesCount8(uint8(e2>>8) ^ b)
-			c3 += bits.OnesCount8(uint8(e3>>8) ^ b)
-			c4 += bits.OnesCount8(uint8(e4>>8) ^ b)
-			c5 += bits.OnesCount8(uint8(e5>>8) ^ b)
-			c6 += bits.OnesCount8(uint8(e6>>8) ^ b)
-			c7 += bits.OnesCount8(uint8(e7>>8) ^ b)
-			g0, g1, g2, g3 = o0+int(uint8(e0)), o1+int(uint8(e1)), o2+int(uint8(e2)), o3+int(uint8(e3))
-			g4, g5, g6, g7 = o4+int(uint8(e4)), o5+int(uint8(e5)), o6+int(uint8(e6)), o7+int(uint8(e7))
+			e := tab[g0|b]
+			c0, g0 = c0+e&entryCount, e&entryRow
+			e = tab[g1|b]
+			c1, g1 = c1+e&entryCount, e&entryRow
+			e = tab[g2|b]
+			c2, g2 = c2+e&entryCount, e&entryRow
+			e = tab[g3|b]
+			c3, g3 = c3+e&entryCount, e&entryRow
+			e = tab[g4|b]
+			c4, g4 = c4+e&entryCount, e&entryRow
+			e = tab[g5|b]
+			c5, g5 = c5+e&entryCount, e&entryRow
+			e = tab[g6|b]
+			c6, g6 = c6+e&entryCount, e&entryRow
+			e = tab[g7|b]
+			c7, g7 = c7+e&entryCount, e&entryRow
 		}
-		scored += 64
 	}
-	for ; i+8 <= hi; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		e0 := tab[g0<<blockShift|int(b)]
-		e1 := tab[g1<<blockShift|int(b)]
-		e2 := tab[g2<<blockShift|int(b)]
-		e3 := tab[g3<<blockShift|int(b)]
-		e4 := tab[g4<<blockShift|int(b)]
-		e5 := tab[g5<<blockShift|int(b)]
-		e6 := tab[g6<<blockShift|int(b)]
-		e7 := tab[g7<<blockShift|int(b)]
-		c0 += bits.OnesCount8(uint8(e0>>8) ^ b)
-		c1 += bits.OnesCount8(uint8(e1>>8) ^ b)
-		c2 += bits.OnesCount8(uint8(e2>>8) ^ b)
-		c3 += bits.OnesCount8(uint8(e3>>8) ^ b)
-		c4 += bits.OnesCount8(uint8(e4>>8) ^ b)
-		c5 += bits.OnesCount8(uint8(e5>>8) ^ b)
-		c6 += bits.OnesCount8(uint8(e6>>8) ^ b)
-		c7 += bits.OnesCount8(uint8(e7>>8) ^ b)
-		g0, g1, g2, g3 = o0+int(uint8(e0)), o1+int(uint8(e1)), o2+int(uint8(e2)), o3+int(uint8(e3))
-		g4, g5, g6, g7 = o4+int(uint8(e4)), o5+int(uint8(e5)), o6+int(uint8(e6)), o7+int(uint8(e7))
-		scored += 8
+	l.writeOctStates(u, states, g0, g1, g2, g3, g4, g5, g6, g7)
+	for k, c := range [8]uint32{c0, c1, c2, c3, c4, c5, c6, c7} {
+		correct[u+k] += i - body - int(c)
 	}
-	writeOctStates(states, l.off, u, g0, g1, g2, g3, g4, g5, g6, g7)
-	correct[u] += scored - c0
-	correct[u+1] += scored - c1
-	correct[u+2] += scored - c2
-	correct[u+3] += scored - c3
-	correct[u+4] += scored - c4
-	correct[u+5] += scored - c5
-	correct[u+6] += scored - c6
-	correct[u+7] += scored - c7
 	if i < hi {
 		// Ragged tail (at most seven events), scored one lane at a time.
 		for k := 0; k < 8; k++ {
@@ -350,17 +306,17 @@ func (l *layout) spanOct(u int, words []uint64, lo, hi, scoreFrom int, states []
 	}
 }
 
-// writeOctStates converts eight absolute states back to slot-local and
-// stores them.
-func writeOctStates(states []uint8, off []uint32, u, g0, g1, g2, g3, g4, g5, g6, g7 int) {
-	states[u] = uint8(g0 - int(off[u]))
-	states[u+1] = uint8(g1 - int(off[u+1]))
-	states[u+2] = uint8(g2 - int(off[u+2]))
-	states[u+3] = uint8(g3 - int(off[u+3]))
-	states[u+4] = uint8(g4 - int(off[u+4]))
-	states[u+5] = uint8(g5 - int(off[u+5]))
-	states[u+6] = uint8(g6 - int(off[u+6]))
-	states[u+7] = uint8(g7 - int(off[u+7]))
+// octRows returns the absolute rows of slots u..u+7's slot-local
+// states; writeOctStates stores eight rows back as slot-local states.
+func (l *layout) octRows(u int, states []uint8) (g0, g1, g2, g3, g4, g5, g6, g7 uint32) {
+	row := func(k int) uint32 { return (l.off[u+k] + uint32(states[u+k])) << blockShift }
+	return row(0), row(1), row(2), row(3), row(4), row(5), row(6), row(7)
+}
+
+func (l *layout) writeOctStates(u int, states []uint8, g0, g1, g2, g3, g4, g5, g6, g7 uint32) {
+	for k, g := range [8]uint32{g0, g1, g2, g3, g4, g5, g6, g7} {
+		states[u+k] = uint8(g>>blockShift - l.off[u+k])
+	}
 }
 
 // sampled advances the lane from state s through all n events and
@@ -409,19 +365,18 @@ func (ln *lane) sampled(s uint8, words []uint64, n int, pos []int32, runs []bits
 // sampleBytes walks the whole bytes [i, j) through the closure table,
 // scoring the sampled positions pos[c:] inside them.
 func (ln *lane) sampleBytes(s uint8, words []uint64, i, j int, pos []int32, c, misses int) (uint8, int, int) {
-	tab := ln.tab
+	tab, g := ln.tab, ln.row(s)
 	for ; i < j; i += 8 {
-		b := uint8(words[i>>6] >> uint(i&63))
-		e := tab[int(s)<<blockShift|int(b)]
+		e := tab[g|uint32(uint8(words[i>>6]>>uint(i&63)))]
 		if c < len(pos) && int(pos[c]) < i+8 {
-			x := uint8(e>>8) ^ b
+			x := e >> entryMask
 			for ; c < len(pos) && int(pos[c]) < i+8; c++ {
 				misses += int(x >> uint(int(pos[c])-i) & 1)
 			}
 		}
-		s = uint8(e)
+		g = e & entryRow
 	}
-	return s, misses, c
+	return ln.local(g), misses, c
 }
 
 // gated is the confidence-estimator replay: the lane steps from state s
@@ -468,16 +423,16 @@ func (ln *lane) gated(s uint8, correct []uint64, n int, runs []bitseq.Run, tally
 // gatedBytes walks the whole bytes [i, j) of the gated replay through
 // the closure table, adding to the flagged tallies.
 func (ln *lane) gatedBytes(s uint8, correct []uint64, i, j, flagged, flaggedCorrect int) (uint8, int, int) {
-	tab := ln.tab
+	tab, g := ln.tab, ln.row(s)
 	for ; i < j; i += 8 {
 		cb := uint8(correct[i>>6] >> uint(i&63))
-		e := tab[int(s)<<blockShift|int(cb)]
-		pm := uint8(e >> 8)
+		e := tab[g|uint32(cb)]
+		pm := uint8(e>>entryMask) ^ cb
 		flagged += bits.OnesCount8(pm)
 		flaggedCorrect += bits.OnesCount8(pm & cb)
-		s = uint8(e)
+		g = e & entryRow
 	}
-	return s, flagged, flaggedCorrect
+	return ln.local(g), flagged, flaggedCorrect
 }
 
 // clampSpan normalizes (n, skip) against the packed stream's capacity:

@@ -194,7 +194,7 @@ func (c *diffCase) check(t *testing.T, mode walkMode, fleet, fromState bool, kin
 	case gatedMode:
 		got, gotCorrect := make([]int, len(c.machines)), make([]int, len(c.machines))
 		if fleet {
-			got, gotCorrect = f.ReplayGated(words, n, runs)
+			f.ReplayGated(words, n, runs, got, gotCorrect)
 		}
 		for j, m := range c.machines {
 			if !fleet {
